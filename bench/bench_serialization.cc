@@ -1,12 +1,18 @@
-// Serialization throughput: SerializePxml / ParsePxml over generated
-// instances of growing size. Write time is a first-class cost in the
-// paper's Figure 7 totals (it dominates selection), so the library's
-// storage path deserves its own measurement.
+// Serialization throughput: SerializePxml / WritePxmlFile / ParsePxml over
+// generated instances of growing size. Write time is a first-class cost
+// in the paper's Figure 7 totals (it dominates selection), so the
+// library's storage path deserves its own measurement. The `fig7_pipeline`
+// rows use the shape of the benchmark's pipeline input (FR labeling, b=4,
+// d=6, explicit tables, no leaf values); the numbered rows are SL trees
+// of that depth.
 //
 // Usage: bench_serialization [--seed=S] [--threads=N] [gbench flags]
 // (--threads is accepted for interface uniformity across the bench
 // suite; the serialization path is single-threaded.)
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "fig7_common.h"
 #include "workload/generator.h"
@@ -19,19 +25,31 @@ using namespace pxml;  // NOLINT
 
 bench::BenchFlags g_flags{/*threads=*/1, /*seed=*/77};
 
-ProbabilisticInstance MakeTree(std::uint32_t depth) {
-  GeneratorConfig config;
-  config.depth = depth;
-  config.branching = 4;
-  config.seed = g_flags.seed;
+ProbabilisticInstance Generate(const GeneratorConfig& config) {
   auto inst = GenerateBalancedTree(config);
   if (!inst.ok()) std::abort();
   return std::move(inst).ValueOrDie();
 }
 
-void BM_Serialize(benchmark::State& state) {
-  ProbabilisticInstance inst =
-      MakeTree(static_cast<std::uint32_t>(state.range(0)));
+ProbabilisticInstance MakeTree(std::uint32_t depth) {
+  GeneratorConfig config;
+  config.depth = depth;
+  config.branching = 4;
+  config.seed = g_flags.seed;
+  return Generate(config);
+}
+
+ProbabilisticInstance MakeFig7PipelineTree() {
+  GeneratorConfig config;
+  config.labeling = LabelingScheme::kFullyRandom;
+  config.depth = 6;
+  config.branching = 4;
+  config.opf_style = OpfStyle::kExplicitTable;
+  config.seed = g_flags.seed;
+  return Generate(config);
+}
+
+void Serialize(benchmark::State& state, const ProbabilisticInstance& inst) {
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::string text = SerializePxml(inst);
@@ -44,7 +62,42 @@ void BM_Serialize(benchmark::State& state) {
   state.counters["objects"] =
       static_cast<double>(inst.weak().num_objects());
 }
+
+void WriteFile(benchmark::State& state, const ProbabilisticInstance& inst) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_serialization.pxml")
+          .string();
+  for (auto _ : state) {
+    if (!WritePxmlFile(inst, path).ok()) std::abort();
+  }
+  const auto bytes = std::filesystem::file_size(path);
+  std::remove(path.c_str());
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(bytes) *
+      static_cast<std::int64_t>(state.iterations()));
+  state.counters["objects"] =
+      static_cast<double>(inst.weak().num_objects());
+}
+
+void BM_Serialize(benchmark::State& state) {
+  Serialize(state, MakeTree(static_cast<std::uint32_t>(state.range(0))));
+}
 BENCHMARK(BM_Serialize)->DenseRange(2, 6, 1);
+
+void BM_Serialize_fig7_pipeline(benchmark::State& state) {
+  Serialize(state, MakeFig7PipelineTree());
+}
+BENCHMARK(BM_Serialize_fig7_pipeline);
+
+void BM_WriteFile(benchmark::State& state) {
+  WriteFile(state, MakeTree(static_cast<std::uint32_t>(state.range(0))));
+}
+BENCHMARK(BM_WriteFile)->DenseRange(2, 6, 1);
+
+void BM_WriteFile_fig7_pipeline(benchmark::State& state) {
+  WriteFile(state, MakeFig7PipelineTree());
+}
+BENCHMARK(BM_WriteFile_fig7_pipeline);
 
 void BM_Parse(benchmark::State& state) {
   ProbabilisticInstance inst =
@@ -59,7 +112,7 @@ void BM_Parse(benchmark::State& state) {
       static_cast<std::int64_t>(text.size()) *
       static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_Parse)->DenseRange(2, 5, 1);
+BENCHMARK(BM_Parse)->DenseRange(2, 6, 1);
 
 void BM_DeepCopy(benchmark::State& state) {
   // The "copy the input instance" phase of every Fig 7 query.

@@ -2,13 +2,15 @@
 # Runs the JSON-emitting benchmark binaries and assembles the checked-in
 # BENCH_<PR>.json baseline.
 #
-# Usage: bench/run_all.sh [BUILD_DIR] [OUT_DIR]
+# Usage: bench/run_all.sh [BUILD_DIR] [OUT_DIR] [PR]
 #   BUILD_DIR  cmake build directory containing bench/ (default: build)
 #   OUT_DIR    where per-bench JSON files land (default: bench/out)
+#   PR         number stamped into the baseline and its file name,
+#              BENCH_<PR>.json (default: 9)
 #
 # The sweep caps (--max-objects) keep a full run under a couple of
 # minutes on one CPU; raise them for paper-scale series. The assembled
-# BENCH_9.json embeds the fig7a series (generic explicit, and per-label
+# BENCH_<PR>.json embeds the fig7a series (generic explicit, and per-label
 # with frozen kernels), the fig7c series, the frozen-kernel counter
 # ablation (which now also gates the observability layer — registry
 # reconcile and tracing neutrality), the MVCC mixed read/write workload
@@ -29,7 +31,10 @@
 # SIMD rows: bench_frozen_kernels under --simd=auto|avx2|sse2|scalar
 # (each run re-gates cross-backend agreement and dispatch neutrality;
 # backends the host cannot execute stay on the detected one and the row
-# records which backend actually ran).
+# records which backend actually ran) — and the writer/parser layer
+# rows: bench_serialization's google-benchmark JSON (SerializePxml,
+# WritePxmlFile and ParsePxml per tree depth, plus the fig7_pipeline
+# input shape).
 # bench_opf_representations writes google-benchmark JSON into OUT_DIR
 # only (its output embeds machine context, so it is uploaded as a CI
 # artifact rather than checked in). The fig7a run additionally exports
@@ -40,6 +45,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD=${1:-build}
 OUT=${2:-bench/out}
+PR=${3:-9}
+if [[ ! "$PR" =~ ^[0-9]+$ ]]; then
+  echo "error: PR must be a number, got '$PR'" >&2
+  exit 1
+fi
 mkdir -p "$OUT"
 
 # Every binary the script is about to run must exist and be executable;
@@ -51,6 +61,7 @@ BENCH_BINARIES=(
   bench_answer_cache
   bench_opf_representations
   bench_batch_queries
+  bench_serialization
 )
 missing=0
 for bin in "${BENCH_BINARIES[@]}"; do
@@ -105,6 +116,9 @@ done
     --json="$OUT/batch_recorder_gate.json"
 "$BUILD/bench/bench_opf_representations" --json="$OUT/opf_representations.json" \
     --benchmark_min_time=0.01 >/dev/null
+"$BUILD/bench/bench_serialization" --benchmark_min_time=0.01 \
+    --benchmark_out="$OUT/serialization.json" --benchmark_out_format=json \
+    >/dev/null
 # Cross-query reuse (DESIGN.md §12): the --check gates (warm hit rate,
 # bit-identity, zero hits across a commit, >= 2x pass reduction) run on
 # every row, so a regression fails the whole script.
@@ -114,7 +128,7 @@ done
     --json="$OUT/answer_cache_t4.json"
 
 {
-  printf '{"pr":9,"benches":{'
+  printf '{"pr":%s,"benches":{' "$PR"
   printf '"fig7a":';                  cat "$OUT/fig7a.json" | tr -d '\n'
   printf ',"fig7a_perlabel_frozen":'; cat "$OUT/fig7a_perlabel_frozen.json" | tr -d '\n'
   printf ',"fig7c":';                 cat "$OUT/fig7c.json" | tr -d '\n'
@@ -130,7 +144,8 @@ done
   printf ',"batch_recorder_gate":';   cat "$OUT/batch_recorder_gate.json" | tr -d '\n'
   printf ',"answer_cache_t1":';       cat "$OUT/answer_cache_t1.json" | tr -d '\n'
   printf ',"answer_cache_t4":';       cat "$OUT/answer_cache_t4.json" | tr -d '\n'
+  printf ',"serialization":';         cat "$OUT/serialization.json" | tr -d '\n'
   printf '}}\n'
-} > BENCH_9.json
+} > "BENCH_$PR.json"
 
-echo "wrote BENCH_9.json (+ per-bench JSON in $OUT)"
+echo "wrote BENCH_$PR.json (+ per-bench JSON in $OUT)"

@@ -96,6 +96,12 @@ std::vector<LabelId> WeakInstance::LabelsOf(ObjectId o) const {
   return out;
 }
 
+const std::vector<WeakInstance::LchEntry>& WeakInstance::LchEntries(
+    ObjectId o) const {
+  static const std::vector<LchEntry> kNone;
+  return Present(o) ? nodes_[o].lch : kNone;
+}
+
 IdSet WeakInstance::AllPotentialChildren(ObjectId o) const {
   IdSet out;
   if (!Present(o)) return out;

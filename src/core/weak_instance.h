@@ -61,6 +61,15 @@ class WeakInstance {
   /// The labels l with lch(o, l) non-empty, ascending.
   std::vector<LabelId> LabelsOf(ObjectId o) const;
 
+  /// One lch family of an object: a label l and lch(o, l).
+  struct LchEntry {
+    LabelId label;
+    IdSet children;
+  };
+  /// The lch families of o, ascending by label (empty if o is absent):
+  /// LabelsOf and Lch in one pass, without copying.
+  const std::vector<LchEntry>& LchEntries(ObjectId o) const;
+
   /// Union of lch(o, l) over all labels.
   IdSet AllPotentialChildren(ObjectId o) const;
 
@@ -96,10 +105,6 @@ class WeakInstance {
   std::string ToString() const;
 
  private:
-  struct LchEntry {
-    LabelId label;
-    IdSet children;
-  };
   struct Node {
     bool present = false;
     std::vector<LchEntry> lch;  // sorted by label
