@@ -2,7 +2,8 @@
 // balanced trees (100 .. ~300k objects, branching 2-8, SL/FR labeling).
 //
 // Prints one row per sweep point with the same cost decomposition the
-// paper uses: copy + locate + structure update + ℘ update + write.
+// paper uses: copy + locate + structure update + ℘ update + write, plus
+// the tree check (check_ms) that AncestorProject runs first.
 //
 // Flags (beyond the shared ones): --opf=explicit|independent|per-label
 // picks the generated OPF representation, --frozen=on runs the
@@ -34,18 +35,18 @@ int main(int argc, char** argv) {
       "over random accepted queries\n",
       OpfStyleName(flags.opf_style), flags.frozen ? "on" : "off");
   std::printf(
-      "%-3s %2s %2s %9s %10s %4s %10s %9s %9s %9s %9s %9s %7s\n",
+      "%-3s %2s %2s %9s %10s %4s %10s %9s %9s %9s %9s %9s %9s %7s\n",
       "lab", "b", "d", "objects", "opf_rows", "q", "total_ms", "copy_ms",
-      "locate", "struct", "update", "write", "kept");
+      "check_ms", "locate", "struct", "update", "write", "kept");
   for (const SweepPoint& point : Fig7Sweep(max_objects)) {
     ProjectionRow row = RunProjectionPoint(point, flags.seed, flags.opf_style,
                                            flags.frozen, obs.session());
     std::printf(
         "%-3s %2u %2u %9zu %10zu %4d %10.3f %9.3f %9.3f %9.3f %9.3f %9.3f "
-        "%7zu\n",
+        "%9.3f %7zu\n",
         SchemeName(point.scheme), point.branching, point.depth, row.objects,
         row.opf_entries, row.queries, row.total_ms, row.copy_ms,
-        row.locate_ms, row.structure_ms, row.update_ms, row.write_ms,
+        row.check_ms, row.locate_ms, row.structure_ms, row.update_ms, row.write_ms,
         row.kept_objects);
     std::fflush(stdout);
     json.NextRow();
@@ -59,6 +60,7 @@ int main(int argc, char** argv) {
     json.Int("queries", static_cast<std::uint64_t>(row.queries));
     json.Num("total_ms", row.total_ms);
     json.Num("copy_ms", row.copy_ms);
+    json.Num("check_ms", row.check_ms);
     json.Num("locate_ms", row.locate_ms);
     json.Num("structure_ms", row.structure_ms);
     json.Num("update_ms", row.update_ms);

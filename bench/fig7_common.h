@@ -372,8 +372,10 @@ struct ProjectionRow {
   std::size_t objects = 0;
   std::size_t opf_entries = 0;
   int queries = 0;
-  double total_ms = 0;    // copy + locate + structure + update + write
+  // copy + check + locate + structure + update + write
+  double total_ms = 0;
   double copy_ms = 0;
+  double check_ms = 0;  // the G_W tree check inside AncestorProject
   double locate_ms = 0;
   double structure_ms = 0;
   double update_ms = 0;   // the Fig 7(b) quantity
@@ -434,6 +436,7 @@ inline ProjectionRow RunProjectionPoint(
       BenchCheck(WritePxmlFile(*result, scratch), "write");
       double write_ms = MsSince(tw);
       row.copy_ms += copy_ms;
+      row.check_ms += stats.check_seconds * 1e3;
       row.locate_ms += stats.locate_seconds * 1e3;
       row.structure_ms += stats.structure_seconds * 1e3;
       row.update_ms += stats.update_seconds * 1e3;
@@ -451,6 +454,7 @@ inline ProjectionRow RunProjectionPoint(
   double n = row.queries;
   row.total_ms /= n;
   row.copy_ms /= n;
+  row.check_ms /= n;
   row.locate_ms /= n;
   row.structure_ms /= n;
   row.update_ms /= n;
@@ -465,8 +469,10 @@ struct SelectionRow {
   std::size_t objects = 0;
   std::size_t opf_entries = 0;
   int queries = 0;
-  double total_ms = 0;  // copy + locate + ℘ update + write
+  double total_ms = 0;  // check + locate + copy + ℘ update + write
+  double check_ms = 0;
   double locate_ms = 0;
+  double copy_ms = 0;   // Select's copy of the input into its result
   double update_ms = 0;
   double write_ms = 0;
 };
@@ -501,7 +507,9 @@ inline SelectionRow RunSelectionPoint(const SweepPoint& point,
       auto tw = std::chrono::steady_clock::now();
       BenchCheck(WritePxmlFile(*result, scratch), "write");
       double write_ms = MsSince(tw);
+      row.check_ms += stats.check_seconds * 1e3;
       row.locate_ms += stats.locate_seconds * 1e3;
+      row.copy_ms += stats.copy_seconds * 1e3;
       row.update_ms += stats.update_seconds * 1e3;
       row.write_ms += write_ms;
       row.total_ms += MsSince(t0);
@@ -511,7 +519,9 @@ inline SelectionRow RunSelectionPoint(const SweepPoint& point,
   std::remove(scratch.c_str());
   double n = row.queries;
   row.total_ms /= n;
+  row.check_ms /= n;
   row.locate_ms /= n;
+  row.copy_ms /= n;
   row.update_ms /= n;
   row.write_ms /= n;
   return row;

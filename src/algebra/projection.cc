@@ -41,6 +41,8 @@ void FlushProjectionPass(const ProjectionStats& ps) {
       Registry::Global().GetCounter("pxml.projection.bytes_allocated");
   static obs::Counter& c_frozen =
       Registry::Global().GetCounter("pxml.projection.frozen_passes");
+  static obs::Histogram& h_check =
+      Registry::Global().GetHistogram("pxml.projection.check_ns");
   static obs::Histogram& h_locate =
       Registry::Global().GetHistogram("pxml.projection.locate_ns");
   static obs::Histogram& h_update =
@@ -54,6 +56,7 @@ void FlushProjectionPass(const ProjectionStats& ps) {
   c_materialized.Add(ps.entries_materialized);
   c_bytes.Add(ps.bytes_allocated);
   c_frozen.Add(ps.frozen_passes);
+  h_check.Record(static_cast<std::uint64_t>(ps.check_seconds * 1e9));
   h_locate.Record(static_cast<std::uint64_t>(ps.locate_seconds * 1e9));
   h_update.Record(static_cast<std::uint64_t>(ps.update_seconds * 1e9));
   h_structure.Record(static_cast<std::uint64_t>(ps.structure_seconds * 1e9));
@@ -126,11 +129,6 @@ Result<ProbabilisticInstance> AncestorProject(
   (void)scratch;  // see the header: per-object buffers are thread-local
   const WeakInstance& weak = instance.weak();
   const std::size_t num_ids = weak.dict().num_objects();
-  PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
-  if (path.start != weak.root()) {
-    return Status::InvalidArgument(
-        "ancestor projection paths must start at the root");
-  }
   // Counters land in a pass-local struct and are flushed once at pass
   // end — to the caller's stats and the pxml.projection.* registry — so
   // the two always agree.
@@ -140,8 +138,17 @@ Result<ProbabilisticInstance> AncestorProject(
     if (stats != nullptr) *stats = ps;
   };
 
+  // ---- Check: the efficient pass assumes G_W is a tree.
+  Clock::time_point tc = Clock::now();
+  PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
+  if (path.start != weak.root()) {
+    return Status::InvalidArgument(
+        "ancestor projection paths must start at the root");
+  }
+
   // ---- Locate: the pruned layers K_0..K_n of potential matches.
   Clock::time_point t0 = Clock::now();
+  ps.check_seconds = Seconds(tc, t0);
   std::vector<IdSet> layers;
   {
     obs::TraceSpan span(trace, "locate");
@@ -505,6 +512,7 @@ Result<ProbabilisticInstance> SingleProject(
     const ProbabilisticInstance& instance, const PathExpression& path,
     ProjectionStats* stats, std::size_t max_targets) {
   const WeakInstance& weak = instance.weak();
+  Clock::time_point tc = Clock::now();
   PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
   if (path.start != weak.root()) {
     return Status::InvalidArgument(
@@ -517,7 +525,10 @@ Result<ProbabilisticInstance> SingleProject(
   PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
                         PrunedWeakPathLayers(weak, path));
   Clock::time_point t1 = Clock::now();
-  if (stats != nullptr) stats->locate_seconds = Seconds(t0, t1);
+  if (stats != nullptr) {
+    stats->check_seconds = Seconds(tc, t0);
+    stats->locate_seconds = Seconds(t0, t1);
+  }
   const std::size_t n = path.labels.size();
 
   ProbabilisticInstance out;

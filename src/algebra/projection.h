@@ -19,6 +19,8 @@ struct EpsilonScratch;
 /// Phase timings and counters for one projection, matching the cost
 /// breakdown of the paper's Section 7 experiments.
 struct ProjectionStats {
+  /// Seconds spent checking that the weak instance graph is a tree.
+  double check_seconds = 0.0;
   /// Seconds spent locating the objects satisfying the path expression.
   double locate_seconds = 0.0;
   /// Seconds spent building the projected structure (new weak instance).

@@ -112,6 +112,7 @@ Result<ProbabilisticInstance> Select(const ProbabilisticInstance& instance,
                                      obs::TraceSession* trace,
                                      QueryControl* control) {
   const WeakInstance& weak = instance.weak();
+  Clock::time_point tc = Clock::now();
   PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
   if (control != nullptr) PXML_RETURN_IF_ERROR(control->CheckNow());
 
@@ -226,17 +227,25 @@ Result<ProbabilisticInstance> Select(const ProbabilisticInstance& instance,
         Registry::Global().GetCounter("pxml.selection.passes");
     static obs::Counter& c_updated =
         Registry::Global().GetCounter("pxml.selection.updated_objects");
+    static obs::Histogram& h_check =
+        Registry::Global().GetHistogram("pxml.selection.check_ns");
     static obs::Histogram& h_locate =
         Registry::Global().GetHistogram("pxml.selection.locate_ns");
+    static obs::Histogram& h_copy =
+        Registry::Global().GetHistogram("pxml.selection.copy_ns");
     static obs::Histogram& h_update =
         Registry::Global().GetHistogram("pxml.selection.update_ns");
     c_passes.Increment();
     c_updated.Add(updated);
+    h_check.Record(static_cast<std::uint64_t>(Seconds(tc, t0) * 1e9));
     h_locate.Record(static_cast<std::uint64_t>(Seconds(t0, t1) * 1e9));
+    h_copy.Record(static_cast<std::uint64_t>(Seconds(t1, t2) * 1e9));
     h_update.Record(static_cast<std::uint64_t>(Seconds(t2, t3) * 1e9));
   }
   if (stats != nullptr) {
+    stats->check_seconds = Seconds(tc, t0);
     stats->locate_seconds = Seconds(t0, t1);
+    stats->copy_seconds = Seconds(t1, t2);
     stats->update_seconds = Seconds(t2, t3);
     stats->condition_prob = condition_prob;
     stats->updated_objects = updated;

@@ -11,8 +11,12 @@ namespace pxml {
 
 /// Phase timings and byproducts of one efficient selection.
 struct SelectionStats {
+  /// Seconds checking that the weak instance graph is a tree.
+  double check_seconds = 0.0;
   /// Seconds locating the chain of path ancestors.
   double locate_seconds = 0.0;
+  /// Seconds copying the input into the result instance.
+  double copy_seconds = 0.0;
   /// Seconds spent updating ℘ along the chain (the quantity the paper
   /// reports as "< 0.001 second").
   double update_seconds = 0.0;
@@ -38,7 +42,7 @@ struct SelectionStats {
 ///
 /// Fails with FailedPrecondition when the condition has probability 0.
 ///
-/// A non-null `trace` records the selection's phases as
+/// A non-null `trace` records the selection's locate and update phases as
 /// "locate"/"update" spans (obs/trace.h); null is the zero-cost disabled
 /// path. A successful selection flushes its counters into the
 /// `pxml.selection.*` registry metrics either way.

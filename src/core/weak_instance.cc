@@ -187,6 +187,26 @@ std::string WeakInstance::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// Calls fn(l, lch(o, l)) for every lch family of o that contributes
+/// edges to G_W (Def 3.7, as WeakInstanceGraph builds it): none when
+/// PC(o) is empty, i.e. when some card(o, l).min exceeds |lch(o, l)|,
+/// and never a family whose interval admits no child (card.max == 0).
+template <typename Fn>
+void ForEachEdgeFamily(const WeakInstance& weak, ObjectId o, Fn&& fn) {
+  const std::vector<WeakInstance::LchEntry>& families = weak.LchEntries(o);
+  for (const WeakInstance::LchEntry& e : families) {
+    if (weak.Card(o, e.label).min() > e.children.size()) return;
+  }
+  for (const WeakInstance::LchEntry& e : families) {
+    if (weak.Card(o, e.label).max() == 0) continue;
+    fn(e.label, e.children);
+  }
+}
+
+}  // namespace
+
 Result<SemistructuredInstance> WeakInstanceGraph(const WeakInstance& weak) {
   SemistructuredInstance graph;
   graph.SetDictionary(weak.dict());
@@ -220,12 +240,76 @@ Result<SemistructuredInstance> WeakInstanceGraph(const WeakInstance& weak) {
 }
 
 Status CheckWeakTree(const WeakInstance& weak) {
+  // The verdicts (and status codes) of CheckTree(WeakInstanceGraph(weak)),
+  // computed on lch/card directly: one parent slot per object and one DFS
+  // stack, no graph and no dictionary copy.
   if (!weak.HasRoot()) {
     return Status::NotATree("weak instance has no root");
   }
-  PXML_ASSIGN_OR_RETURN(SemistructuredInstance graph,
-                        WeakInstanceGraph(weak));
-  return CheckTree(graph);
+  const Dictionary& dict = weak.dict();
+  const std::size_t n = dict.num_objects();
+  // parent[c]: the last potential parent seen for c in G_W. Objects are
+  // visited in ascending order, so parent[c] == o flags c listed twice by
+  // o, which building G_W rejects as a duplicate edge.
+  std::vector<ObjectId> parent(n, kInvalidId);
+  std::size_t present = 0;
+  ObjectId second_parent_of = kInvalidId;
+  Status build = Status::Ok();
+  for (ObjectId o = 0; o < n; ++o) {
+    if (!weak.Present(o)) continue;
+    ++present;
+    if (!build.ok()) continue;
+    ForEachEdgeFamily(weak, o, [&](LabelId l, const IdSet& children) {
+      if (!build.ok()) return;
+      if (l >= dict.num_labels()) {
+        build = Status::NotFound(StrCat("label id ", l, " not in dictionary"));
+        return;
+      }
+      for (ObjectId c : children) {
+        if (c >= n) continue;  // reported below as outside the dictionary
+        if (parent[c] == o) {
+          build = Status::FailedPrecondition(
+              StrCat("edge (", dict.ObjectName(o), ",", dict.ObjectName(c),
+                     ") already exists"));
+          return;
+        }
+        if (parent[c] != kInvalidId && second_parent_of == kInvalidId) {
+          second_parent_of = c;
+        }
+        parent[c] = o;
+      }
+    });
+  }
+  if (present != weak.num_objects()) {
+    return Status::NotFound("weak instance has objects outside its dictionary");
+  }
+  PXML_RETURN_IF_ERROR(build);
+  const ObjectId root = weak.root();
+  if (parent[root] != kInvalidId) {
+    return Status::NotATree("root has a parent");
+  }
+  if (second_parent_of != kInvalidId) {
+    return Status::NotATree(
+        StrCat("object '", dict.ObjectName(second_parent_of),
+               "' has several parents; a tree requires exactly 1"));
+  }
+  // No object has two parents and the root has none, so the objects
+  // reached from the root form a tree and the walk never revisits one.
+  // An object without a parent, or on a cycle, is never reached.
+  std::size_t reached = 0;
+  std::vector<ObjectId> stack{root};
+  while (!stack.empty()) {
+    const ObjectId o = stack.back();
+    stack.pop_back();
+    ++reached;
+    ForEachEdgeFamily(weak, o, [&](LabelId, const IdSet& children) {
+      stack.insert(stack.end(), children.begin(), children.end());
+    });
+  }
+  if (reached != present) {
+    return Status::NotATree("not all objects are reachable from the root");
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<IdSet>> WeakPathLayers(const WeakInstance& weak,

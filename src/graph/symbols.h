@@ -1,7 +1,9 @@
 #ifndef PXML_GRAPH_SYMBOLS_H_
 #define PXML_GRAPH_SYMBOLS_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,8 +39,18 @@ class SymbolTable {
   std::size_t size() const { return names_.size(); }
 
  private:
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// build no temporary string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> index_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      index_;
 };
 
 /// The shared vocabulary of an instance: object names, edge labels, and
@@ -47,46 +59,88 @@ class SymbolTable {
 /// A Dictionary is owned by each (weak / probabilistic / semistructured)
 /// instance; instances derived from one another (compatible worlds,
 /// algebra results) carry copies so object ids remain comparable.
+///
+/// Copies are cheap: they share one symbol store (copy-on-write). The
+/// first call that adds a *new* name (or changes a type's domain) gives
+/// the calling Dictionary a private store; looking up or re-interning an
+/// existing name never copies. Distinct Dictionary objects may be used
+/// from different threads even while they share a store.
 class Dictionary {
  public:
-  ObjectId InternObject(std::string_view name) { return objects_.Intern(name); }
-  LabelId InternLabel(std::string_view name) { return labels_.Intern(name); }
+  Dictionary();
+  Dictionary(const Dictionary& other) noexcept;
+  Dictionary(Dictionary&& other) noexcept;
+  Dictionary& operator=(const Dictionary& other) noexcept;
+  Dictionary& operator=(Dictionary&& other) noexcept;
+  ~Dictionary();
+
+  ObjectId InternObject(std::string_view name);
+  LabelId InternLabel(std::string_view name);
 
   /// Defines (or redefines) a leaf type with the given finite domain.
   /// The domain must be non-empty and duplicate-free.
   Result<TypeId> DefineType(std::string_view name, std::vector<Value> domain);
 
   std::optional<ObjectId> FindObject(std::string_view name) const {
-    return objects_.Find(name);
+    return store_->objects.Find(name);
   }
   std::optional<LabelId> FindLabel(std::string_view name) const {
-    return labels_.Find(name);
+    return store_->labels.Find(name);
   }
   std::optional<TypeId> FindType(std::string_view name) const {
-    return types_.Find(name);
+    return store_->types.Find(name);
   }
 
   const std::string& ObjectName(ObjectId id) const {
-    return objects_.Name(id);
+    return store_->objects.Name(id);
   }
-  const std::string& LabelName(LabelId id) const { return labels_.Name(id); }
-  const std::string& TypeName(TypeId id) const { return types_.Name(id); }
+  const std::string& LabelName(LabelId id) const {
+    return store_->labels.Name(id);
+  }
+  const std::string& TypeName(TypeId id) const {
+    return store_->types.Name(id);
+  }
 
   /// The finite domain dom(t). Precondition: t < num_types().
-  const std::vector<Value>& TypeDomain(TypeId t) const { return domains_[t]; }
+  const std::vector<Value>& TypeDomain(TypeId t) const {
+    return store_->domains[t];
+  }
 
   /// True iff `v` is a member of dom(t).
   bool DomainContains(TypeId t, const Value& v) const;
 
-  std::size_t num_objects() const { return objects_.size(); }
-  std::size_t num_labels() const { return labels_.size(); }
-  std::size_t num_types() const { return types_.size(); }
+  std::size_t num_objects() const { return store_->objects.size(); }
+  std::size_t num_labels() const { return store_->labels.size(); }
+  std::size_t num_types() const { return store_->types.size(); }
 
  private:
-  SymbolTable objects_;
-  SymbolTable labels_;
-  SymbolTable types_;
-  std::vector<std::vector<Value>> domains_;  // indexed by TypeId
+  /// The symbols proper, shared by every Dictionary in `refs`. A store
+  /// is written only while exactly one Dictionary refers to it.
+  struct Store {
+    Store() = default;
+    Store(const Store& other)
+        : objects(other.objects),
+          labels(other.labels),
+          types(other.types),
+          domains(other.domains) {}
+
+    std::atomic<std::uint32_t> refs{1};
+    SymbolTable objects;
+    SymbolTable labels;
+    SymbolTable types;
+    std::vector<std::vector<Value>> domains;  // indexed by TypeId
+  };
+
+  /// One empty store shared by every default-constructed or moved-from
+  /// Dictionary. It keeps a reference of its own, so it is never written
+  /// or freed.
+  static Store* EmptyStore();
+  static Store* Share(Store* store);
+  static void Release(Store* store);
+  /// The store, made private to this Dictionary first if it is shared.
+  Store& Mutable();
+
+  Store* store_;
 };
 
 }  // namespace pxml

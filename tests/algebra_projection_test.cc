@@ -8,6 +8,7 @@
 #include "query/point_queries.h"
 #include "core/validation.h"
 #include "fixtures.h"
+#include "obs/metrics.h"
 #include "world_testing.h"
 
 namespace pxml {
@@ -135,6 +136,35 @@ TEST(AncestorProjectTest, MatchesOracleOnSmallTree) {
   ExpectInstanceMatchesWorlds(*efficient, *oracle);
   EXPECT_GT(stats.processed_entries, 0u);
   EXPECT_EQ(stats.kept_objects, efficient->weak().num_objects());
+}
+
+TEST(AncestorProjectTest, FillsEveryPhaseTimeAndHistogram) {
+  ProbabilisticInstance inst = MakeTreeBibliographicInstance();
+  PathExpression p =
+      MakePath(inst.dict(), inst.weak().root(), {"book", "author"});
+  auto& registry = obs::Registry::Global();
+  std::uint64_t checks0 =
+      registry.GetHistogram("pxml.projection.check_ns").count();
+  std::uint64_t locates0 =
+      registry.GetHistogram("pxml.projection.locate_ns").count();
+  ProjectionStats stats;
+  stats.check_seconds = stats.locate_seconds = stats.update_seconds =
+      stats.structure_seconds = -1.0;
+  ASSERT_TRUE(AncestorProject(inst, p, &stats).ok());
+  EXPECT_GE(stats.check_seconds, 0.0);
+  EXPECT_GE(stats.locate_seconds, 0.0);
+  EXPECT_GE(stats.update_seconds, 0.0);
+  EXPECT_GE(stats.structure_seconds, 0.0);
+  EXPECT_EQ(registry.GetHistogram("pxml.projection.check_ns").count(),
+            checks0 + 1);
+  EXPECT_EQ(registry.GetHistogram("pxml.projection.locate_ns").count(),
+            locates0 + 1);
+
+  ProjectionStats single;
+  single.check_seconds = single.locate_seconds = -1.0;
+  ASSERT_TRUE(SingleProject(inst, p, &single).ok());
+  EXPECT_GE(single.check_seconds, 0.0);
+  EXPECT_GE(single.locate_seconds, 0.0);
 }
 
 TEST(AncestorProjectTest, MatchesOracleOnTreeBibliography) {

@@ -5,6 +5,7 @@
 #include "core/semantics.h"
 #include "core/validation.h"
 #include "fixtures.h"
+#include "obs/metrics.h"
 #include "query/point_queries.h"
 #include "world_testing.h"
 
@@ -88,6 +89,33 @@ TEST(SelectTest, ObjectConditionMatchesOracle) {
   // P(B1) = 0.3 + 0.5.
   EXPECT_NEAR(stats.condition_prob, 0.8, 1e-12);
   EXPECT_EQ(stats.updated_objects, 1u);
+}
+
+TEST(SelectTest, FillsEveryPhaseTimeAndHistogram) {
+  ProbabilisticInstance inst = MakeTreeBibliographicInstance();
+  const Dictionary& dict = inst.dict();
+  SelectionCondition cond = SelectionCondition::ObjectEquals(
+      MakePath(dict, inst.weak().root(), {"book"}), *dict.FindObject("B1"));
+  auto& registry = obs::Registry::Global();
+  const char* const kHistograms[] = {
+      "pxml.selection.check_ns", "pxml.selection.locate_ns",
+      "pxml.selection.copy_ns", "pxml.selection.update_ns"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kHistograms) {
+    before.push_back(registry.GetHistogram(name).count());
+  }
+  SelectionStats stats;
+  stats.check_seconds = stats.locate_seconds = stats.copy_seconds =
+      stats.update_seconds = -1.0;
+  ASSERT_TRUE(Select(inst, cond, &stats).ok());
+  EXPECT_GE(stats.check_seconds, 0.0);
+  EXPECT_GE(stats.locate_seconds, 0.0);
+  EXPECT_GE(stats.copy_seconds, 0.0);
+  EXPECT_GE(stats.update_seconds, 0.0);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry.GetHistogram(kHistograms[i]).count(), before[i] + 1)
+        << kHistograms[i];
+  }
 }
 
 TEST(SelectTest, DeepObjectConditionMatchesOracle) {

@@ -7,6 +7,8 @@
 #include "core/weak_instance.h"
 #include "fixtures.h"
 #include "graph/algorithms.h"
+#include "workload/generator.h"
+#include "workload/paper_instances.h"
 
 namespace pxml {
 namespace {
@@ -85,6 +87,207 @@ TEST(WeakInstanceTest, TreeCheck) {
   EXPECT_FALSE(CheckWeakTree(bib.weak()).ok());  // A1/A2 share I1 etc.
   ProbabilisticInstance small = testing::MakeSmallTreeInstance();
   EXPECT_TRUE(CheckWeakTree(small.weak()).ok());
+}
+
+// CheckWeakTree walks lch/card directly; CheckTree over the materialized
+// G_W is its oracle. Both must agree on ok() and on the status code.
+void ExpectTreeCheckMatchesGraph(const WeakInstance& weak,
+                                 const std::string& what) {
+  Status direct = CheckWeakTree(weak);
+  Status oracle = Status::Ok();
+  if (!weak.HasRoot()) {
+    oracle = Status::NotATree("weak instance has no root");
+  } else {
+    Result<SemistructuredInstance> graph = WeakInstanceGraph(weak);
+    oracle = graph.ok() ? CheckTree(*graph) : graph.status();
+  }
+  EXPECT_EQ(direct.ok(), oracle.ok())
+      << what << ": direct " << direct << ", graph " << oracle;
+  EXPECT_EQ(direct.code(), oracle.code())
+      << what << ": direct " << direct << ", graph " << oracle;
+}
+
+TEST(WeakTreeCheckTest, AgreesWithGraphOnPaperInstances) {
+  ProbabilisticInstance bib = MakeBibliographicInstance();
+  EXPECT_EQ(CheckWeakTree(bib.weak()).code(), StatusCode::kNotATree);
+  ExpectTreeCheckMatchesGraph(bib.weak(), "figure 2");
+  ExpectTreeCheckMatchesGraph(
+      testing::MakeFullyTypedBibliographicInstance().weak(),
+      "fully typed figure 2");
+  ExpectTreeCheckMatchesGraph(testing::MakeSmallTreeInstance().weak(),
+                              "small tree");
+  ExpectTreeCheckMatchesGraph(testing::MakeChainInstance().weak(), "chain");
+  ExpectTreeCheckMatchesGraph(
+      testing::MakeTreeBibliographicInstance().weak(), "tree bibliography");
+  for (bool typed : {false, true}) {
+    Result<ProbabilisticInstance> fig2 = MakeFigure2Instance(typed);
+    ASSERT_TRUE(fig2.ok()) << fig2.status();
+    EXPECT_FALSE(CheckWeakTree(fig2->weak()).ok());
+    ExpectTreeCheckMatchesGraph(fig2->weak(), "MakeFigure2Instance");
+  }
+}
+
+TEST(WeakTreeCheckTest, AgreesWithGraphOnGeneratedInstances) {
+  for (LabelingScheme scheme :
+       {LabelingScheme::kSameLabels, LabelingScheme::kFullyRandom}) {
+    for (OpfStyle style : {OpfStyle::kExplicitTable, OpfStyle::kIndependent,
+                           OpfStyle::kPerLabelProduct}) {
+      for (std::uint32_t depth : {0u, 1u, 3u, 5u}) {
+        GeneratorConfig config;
+        config.depth = depth;
+        config.branching = 3;
+        config.labeling = scheme;
+        config.opf_style = style;
+        config.with_leaf_values = true;
+        config.seed = 7 + depth;
+        Result<ProbabilisticInstance> inst = GenerateBalancedTree(config);
+        ASSERT_TRUE(inst.ok()) << inst.status();
+        EXPECT_TRUE(CheckWeakTree(inst->weak()).ok());
+        ExpectTreeCheckMatchesGraph(inst->weak(), "balanced tree");
+      }
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    DagConfig config;
+    config.num_objects = 4 + seed % 6;
+    config.seed = seed;
+    Result<ProbabilisticInstance> dag = GenerateRandomDag(config);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    ExpectTreeCheckMatchesGraph(dag->weak(), "random dag");
+  }
+}
+
+/// r -a-> {x, y}, x -b-> {z}: a tree, which each malformed case below
+/// edits.
+struct TreeShape {
+  WeakInstance weak;
+  ObjectId r, x, y, z;
+  LabelId a, b;
+
+  TreeShape() {
+    r = weak.AddObject("r");
+    x = weak.AddObject("x");
+    y = weak.AddObject("y");
+    z = weak.AddObject("z");
+    a = weak.dict().InternLabel("a");
+    b = weak.dict().InternLabel("b");
+    EXPECT_TRUE(weak.SetRoot(r).ok());
+    EXPECT_TRUE(weak.AddPotentialChild(r, a, x).ok());
+    EXPECT_TRUE(weak.AddPotentialChild(r, a, y).ok());
+    EXPECT_TRUE(weak.AddPotentialChild(x, b, z).ok());
+  }
+};
+
+TEST(WeakTreeCheckTest, AgreesWithGraphOnMalformedShapes) {
+  {
+    TreeShape t;
+    EXPECT_TRUE(CheckWeakTree(t.weak).ok());
+    ExpectTreeCheckMatchesGraph(t.weak, "well-formed tree");
+  }
+  {
+    WeakInstance weak;
+    weak.AddObject("r");
+    EXPECT_EQ(CheckWeakTree(weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(weak, "no root");
+  }
+  {
+    TreeShape t;
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.y, t.b, t.z).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "second potential parent");
+  }
+  {
+    TreeShape t;
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.z, t.a, t.r).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "parent of the root");
+  }
+  {
+    TreeShape t;
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.z, t.a, t.z).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "self-loop");
+  }
+  {
+    TreeShape t;
+    t.weak.AddObject("w");
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "unreachable object");
+  }
+  {
+    // u and v are each other's only parent: every object but the root
+    // has one parent, yet neither is reachable.
+    TreeShape t;
+    ObjectId u = t.weak.AddObject("u");
+    ObjectId v = t.weak.AddObject("v");
+    ASSERT_TRUE(t.weak.AddPotentialChild(u, t.a, v).ok());
+    ASSERT_TRUE(t.weak.AddPotentialChild(v, t.a, u).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "detached cycle");
+  }
+  {
+    // card.max == 0 removes x's only edge to z.
+    TreeShape t;
+    ASSERT_TRUE(t.weak.SetCard(t.x, t.b, IntInterval(0, 0)).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "card.max == 0");
+  }
+  {
+    // ...and removing y's edge to z leaves a tree.
+    TreeShape t;
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.y, t.b, t.z).ok());
+    ASSERT_TRUE(t.weak.SetCard(t.y, t.b, IntInterval(0, 0)).ok());
+    EXPECT_TRUE(CheckWeakTree(t.weak).ok());
+    ExpectTreeCheckMatchesGraph(t.weak, "card.max == 0 on a second parent");
+  }
+  {
+    // card.min > |lch| empties PC(r): r has no edges at all.
+    TreeShape t;
+    ASSERT_TRUE(t.weak.SetCard(t.r, t.a, IntInterval(3, 4)).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "card.min > |lch|");
+  }
+  {
+    // An unsatisfiable family silences the object's other families too,
+    // which here removes z's second parent.
+    TreeShape t;
+    ObjectId w = t.weak.AddObject("w");
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.y, t.a, w).ok());
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.y, t.b, t.z).ok());
+    ASSERT_TRUE(t.weak.SetCard(t.y, t.a, IntInterval(2, 2)).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotATree);
+    ExpectTreeCheckMatchesGraph(t.weak, "card.min > |lch| on one family");
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.x, t.a, w).ok());
+    EXPECT_TRUE(CheckWeakTree(t.weak).ok());
+    ExpectTreeCheckMatchesGraph(t.weak, "card.min > |lch| drops a parent");
+  }
+  {
+    // One child under two labels of one parent: G_W cannot be built.
+    TreeShape t;
+    ASSERT_TRUE(t.weak.AddPotentialChild(t.x, t.a, t.z).ok());
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kFailedPrecondition);
+    ExpectTreeCheckMatchesGraph(t.weak, "child under two labels");
+  }
+  {
+    // A dictionary that no longer names every object.
+    TreeShape t;
+    Dictionary small;
+    small.InternObject("r");
+    small.InternLabel("a");
+    t.weak.SetDictionary(small);
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotFound);
+    ExpectTreeCheckMatchesGraph(t.weak, "objects outside the dictionary");
+  }
+  {
+    // A dictionary that names every object but not label b.
+    TreeShape t;
+    Dictionary small;
+    for (const char* name : {"r", "x", "y", "z"}) small.InternObject(name);
+    small.InternLabel("a");
+    t.weak.SetDictionary(small);
+    EXPECT_EQ(CheckWeakTree(t.weak).code(), StatusCode::kNotFound);
+    ExpectTreeCheckMatchesGraph(t.weak, "labels outside the dictionary");
+  }
 }
 
 TEST(WeakInstanceTest, WeakPathLayers) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "graph/instance.h"
 #include "graph/path.h"
@@ -67,6 +71,133 @@ TEST(DictionaryTest, RejectsEmptyOrDuplicateDomains) {
   Dictionary d;
   EXPECT_FALSE(d.DefineType("empty", {}).ok());
   EXPECT_FALSE(d.DefineType("dup", {Value("x"), Value("x")}).ok());
+}
+
+// Copies share one symbol store until one of them adds a new name.
+
+Dictionary MakeSharedDictionary() {
+  Dictionary d;
+  d.InternObject("R");
+  d.InternObject("A");
+  d.InternLabel("book");
+  EXPECT_TRUE(d.DefineType("bit", {Value("0"), Value("1")}).ok());
+  return d;
+}
+
+void ExpectOriginalContents(const Dictionary& d) {
+  EXPECT_EQ(d.num_objects(), 2u);
+  EXPECT_EQ(d.num_labels(), 1u);
+  EXPECT_EQ(d.num_types(), 1u);
+  EXPECT_EQ(d.FindObject("R"), 0u);
+  EXPECT_EQ(d.FindObject("A"), 1u);
+  EXPECT_EQ(d.FindLabel("book"), 0u);
+  EXPECT_EQ(d.FindType("bit"), 0u);
+  EXPECT_FALSE(d.FindObject("B").has_value());
+  EXPECT_FALSE(d.FindLabel("author").has_value());
+  EXPECT_FALSE(d.FindType("word").has_value());
+  EXPECT_EQ(d.ObjectName(1), "A");
+  EXPECT_EQ(d.LabelName(0), "book");
+  EXPECT_EQ(d.TypeName(0), "bit");
+  EXPECT_EQ(d.TypeDomain(0).size(), 2u);
+  EXPECT_TRUE(d.DomainContains(0, Value("1")));
+}
+
+TEST(DictionaryTest, NewNamesOnACopyLeaveTheOriginalUnchanged) {
+  const Dictionary original = MakeSharedDictionary();
+  Dictionary copy = original;
+  EXPECT_EQ(copy.InternObject("B"), 2u);
+  EXPECT_EQ(copy.InternLabel("author"), 1u);
+  ASSERT_TRUE(copy.DefineType("word", {Value("x")}).ok());
+  ExpectOriginalContents(original);
+  EXPECT_EQ(copy.num_objects(), 3u);
+  EXPECT_EQ(copy.FindObject("B"), 2u);
+  EXPECT_EQ(copy.FindLabel("author"), 1u);
+  EXPECT_EQ(copy.FindType("word"), 1u);
+  EXPECT_EQ(copy.ObjectName(1), "A");
+}
+
+TEST(DictionaryTest, NewNamesOnTheOriginalLeaveACopyUnchanged) {
+  Dictionary original = MakeSharedDictionary();
+  const Dictionary copy = original;
+  original.InternObject("B");
+  original.InternLabel("author");
+  ASSERT_TRUE(original.DefineType("word", {Value("x")}).ok());
+  ExpectOriginalContents(copy);
+  EXPECT_EQ(original.num_objects(), 3u);
+  EXPECT_EQ(original.num_types(), 2u);
+}
+
+TEST(DictionaryTest, RedefiningATypeOnACopyLeavesTheOriginalDomain) {
+  const Dictionary original = MakeSharedDictionary();
+  Dictionary copy = original;
+  auto t = copy.DefineType("bit", {Value("0"), Value("1"), Value("2")});
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, 0u);
+  EXPECT_EQ(copy.TypeDomain(0).size(), 3u);
+  ExpectOriginalContents(original);
+}
+
+TEST(DictionaryTest, ReinterningOnASharedCopyReturnsTheSameIds) {
+  const Dictionary original = MakeSharedDictionary();
+  Dictionary copy = original;
+  EXPECT_EQ(copy.InternObject("A"), 1u);
+  EXPECT_EQ(copy.InternLabel("book"), 0u);
+  auto t = copy.DefineType("bit", {Value("0"), Value("1")});
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, 0u);
+  // Still one store: the names are the very same strings.
+  EXPECT_EQ(&copy.ObjectName(1), &original.ObjectName(1));
+  EXPECT_EQ(&copy.TypeDomain(0), &original.TypeDomain(0));
+  ExpectOriginalContents(copy);
+}
+
+TEST(DictionaryTest, SelfAssignmentAndMoveKeepTheContents) {
+  Dictionary d = MakeSharedDictionary();
+  const Dictionary& alias = d;
+  d = alias;
+  ExpectOriginalContents(d);
+  Dictionary moved = std::move(d);
+  ExpectOriginalContents(moved);
+  Dictionary assigned;
+  assigned = std::move(moved);
+  ExpectOriginalContents(assigned);
+  Dictionary& self = assigned;
+  assigned = std::move(self);
+  ExpectOriginalContents(assigned);
+  // A moved-from dictionary is empty and usable.
+  EXPECT_EQ(d.num_objects(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(d.InternObject("Z"), 0u);
+}
+
+TEST(DictionaryTest, ConcurrentCopiesAndReadsBesideAnInterningCopy) {
+  const Dictionary shared = MakeSharedDictionary();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared] {
+      for (int i = 0; i < 2000; ++i) {
+        Dictionary copy = shared;
+        if (copy.FindObject("A") != 1u || copy.ObjectName(0) != "R" ||
+            copy.num_objects() != 2u || copy.InternLabel("book") != 0u) {
+          ADD_FAILURE() << "shared dictionary changed under a reader";
+          return;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&shared] {
+    for (int i = 0; i < 200; ++i) {
+      Dictionary copy = shared;
+      for (int k = 0; k < 5; ++k) {
+        copy.InternObject("new" + std::to_string(k));
+      }
+      if (copy.num_objects() != 7u) {
+        ADD_FAILURE() << "interning copy has " << copy.num_objects();
+        return;
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  ExpectOriginalContents(shared);
 }
 
 // --------------------------------------------------------------- Instance
