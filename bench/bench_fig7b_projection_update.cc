@@ -6,8 +6,10 @@
 // exists-query through the QueryEngine, apply a single OPF update, and
 // re-run it. With --cache=on (default) the re-query recomputes only the
 // dirty ancestor spine (O(depth) ε evaluations); with --cache=off both
-// passes recompute every path ancestor. Counters, not wall clock, are
-// the headline: epsilon_recomputed cold vs. after the update.
+// passes recompute every path ancestor. The table prints both the
+// epsilon_recomputed counters and the two batches' wall times
+// (BatchStats::wall_seconds), so an on/off pair of runs is the memo's
+// end-to-end ablation.
 //
 // Usage: bench_fig7b_projection_update [--seed=S] [--threads=N]
 //        [--cache=on|off] [--trace=PATH] [--metrics=PATH]
@@ -46,10 +48,12 @@ void RunCacheSweep(const BenchFlags& flags, obs::TraceSession* trace) {
   std::printf(
       "\n# incremental re-query after one OPF update (cache=%s, "
       "threads=%zu)\n"
-      "# eps_cold / eps_requery = per-object ε evaluations before/after\n",
+      "# eps_cold / eps_requery = per-object ε evaluations before/after;\n"
+      "# cold_ms / requery_ms = wall time of the two batches\n",
       flags.cache ? "on" : "off", flags.threads);
-  std::printf("%-3s %2s %2s %9s %10s %12s %8s\n", "lab", "b", "d", "objects",
-              "eps_cold", "eps_requery", "ratio");
+  std::printf("%-3s %2s %2s %9s %10s %12s %8s %10s %11s\n", "lab", "b", "d",
+              "objects", "eps_cold", "eps_requery", "ratio", "cold_ms",
+              "requery_ms");
   Rng rng(flags.seed ^ 0xCAC4E);
   for (const SweepPoint& point : Fig7Sweep(/*max_objects=*/310000)) {
     GeneratorConfig config;
@@ -80,12 +84,12 @@ void RunCacheSweep(const BenchFlags& flags, obs::TraceSession* trace) {
                        ? static_cast<double>(cold.epsilon_recomputed) /
                              static_cast<double>(warm.epsilon_recomputed)
                        : 0.0;
-    std::printf("%-3s %2u %2u %9zu %10llu %12llu %8.1f\n",
+    std::printf("%-3s %2u %2u %9zu %10llu %12llu %8.1f %10.3f %11.3f\n",
                 SchemeName(point.scheme), point.branching, point.depth,
                 engine.instance().weak().num_objects(),
                 static_cast<unsigned long long>(cold.epsilon_recomputed),
                 static_cast<unsigned long long>(warm.epsilon_recomputed),
-                ratio);
+                ratio, cold.wall_seconds * 1e3, warm.wall_seconds * 1e3);
     std::fflush(stdout);
   }
 }

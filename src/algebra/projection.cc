@@ -138,9 +138,13 @@ Result<ProbabilisticInstance> AncestorProject(
     if (stats != nullptr) *stats = ps;
   };
 
-  // ---- Check: the efficient pass assumes G_W is a tree.
+  // ---- Check: the efficient pass assumes G_W is a tree. An in-sync
+  // frozen snapshot already proved it: Freeze runs CheckWeakTree, and any
+  // structural edit bumps structure_version and ends the sync.
   Clock::time_point tc = Clock::now();
-  PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
+  if (frozen == nullptr || !frozen->InSyncWith(instance)) {
+    PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
+  }
   if (path.start != weak.root()) {
     return Status::InvalidArgument(
         "ancestor projection paths must start at the root");

@@ -65,7 +65,9 @@ struct ProjectionStats {
 ///
 /// Requires the weak instance graph to be a tree (the paper's stated
 /// assumption for the efficient algorithms); returns Unimplemented
-/// otherwise — use the global ProjectWorlds oracle for DAGs.
+/// otherwise — use the global ProjectWorlds oracle for DAGs. The tree
+/// check is skipped when `frozen` is in sync with `instance`: its Freeze
+/// ran the same check, and no structural edit has happened since.
 ///
 /// With a ThreadPool in `parallel`, the marginalisation/ε pass partitions
 /// each pruned layer over independent subtrees (objects in one layer only

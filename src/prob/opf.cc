@@ -21,6 +21,25 @@ double Opf::MarginalChildProb(ObjectId child) const {
   return p;
 }
 
+Result<double> Opf::CountInRangeProb(const IdSet& set,
+                                     const IntInterval& range,
+                                     QueryControl* control) const {
+  double p = 0.0;
+  Status stream_status;
+  std::uint64_t rows = 0;
+  ForEachEntry([&](const OpfEntry& row) {
+    if (!stream_status.ok()) return;
+    std::uint32_t k = 0;
+    row.child_set.ForEachIntersecting(set, [&](ObjectId) { ++k; });
+    if (range.Contains(k)) p += row.prob;
+    if (control != nullptr && ++rows % 1024 == 0) {
+      stream_status = control->Charge(1024);
+    }
+  });
+  PXML_RETURN_IF_ERROR(stream_status);
+  return p;
+}
+
 IdSet Opf::SampleChildSet(Rng& rng) const {
   double u = rng.NextDouble();
   std::vector<OpfEntry> entries = Entries();
@@ -367,6 +386,39 @@ double PerLabelProductOpf::MarginalChildProb(ObjectId child) const {
     if (f.universe.Contains(child)) return f.table.MarginalChildProb(child);
   }
   return 0.0;
+}
+
+Result<double> PerLabelProductOpf::CountInRangeProb(
+    const IdSet& set, const IntInterval& range, QueryControl* control) const {
+  // Factors are independent with disjoint universes, so a factor whose
+  // universe misses `set` contributes only its mass.
+  const Factor* counted = nullptr;
+  double others = 1.0;
+  for (const Factor& f : factors_) {
+    bool meets = false;
+    f.universe.ForEachIntersecting(set, [&](ObjectId) { meets = true; });
+    if (!meets) {
+      double mass = 0.0;
+      for (const OpfEntry& e : f.table.rows()) mass += e.prob;
+      others *= mass;
+    } else if (counted == nullptr) {
+      counted = &f;
+    } else {
+      return Opf::CountInRangeProb(set, range, control);
+    }
+  }
+  if (counted == nullptr) return range.Contains(0) ? others : 0.0;
+  double in_range = 0.0;
+  std::uint64_t rows = 0;
+  for (const OpfEntry& row : counted->table.rows()) {
+    std::uint32_t k = 0;
+    row.child_set.ForEachIntersecting(set, [&](ObjectId) { ++k; });
+    if (range.Contains(k)) in_range += row.prob;
+    if (control != nullptr && ++rows % 1024 == 0) {
+      PXML_RETURN_IF_ERROR(control->Charge(1024));
+    }
+  }
+  return in_range * others;
 }
 
 std::unique_ptr<Opf> PerLabelProductOpf::Remap(

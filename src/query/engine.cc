@@ -882,6 +882,7 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   prof.bytes_allocated =
       eps_stats->bytes_allocated.load(std::memory_order_relaxed) +
       projection_stats->bytes_allocated;
+  prof.check_seconds = projection_stats->check_seconds;
   prof.locate_seconds = projection_stats->locate_seconds;
   prof.update_seconds = projection_stats->update_seconds;
   prof.structure_seconds = projection_stats->structure_seconds;
@@ -1431,6 +1432,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   if (stats != nullptr) {
     *stats = BatchStats{};
     for (const ProjectionStats& ps : projection_stats) {
+      stats->check_seconds += ps.check_seconds;
       stats->locate_seconds += ps.locate_seconds;
       stats->structure_seconds += ps.structure_seconds;
       stats->update_seconds += ps.update_seconds;

@@ -46,9 +46,11 @@ struct BatchOptions {
   /// ε-memo cache switch. With the cache on, per-object ε values are
   /// memoized across queries and after a local ℘ update only the dirty
   /// spine recomputes; cached answers are bit-identical to uncached ones
-  /// (see EpsilonMemoCache). The BatchQueryEngine wrapper forces this off
-  /// to preserve its historical stateless behavior.
-  bool cache = true;
+  /// (see EpsilonMemoCache). Off by default: on the frozen kernels a
+  /// mutex-guarded memo lookup costs more than the per-object kernel it
+  /// saves, and a shared memo makes work counters depend on which query
+  /// inserted first (DESIGN.md §8).
+  bool cache = false;
   /// Byte budget for the ε-memo cache (flat
   /// EpsilonMemoCache::kBytesPerEntry per entry, LRU-evicted past the
   /// budget; a budget below one entry clamps up to one entry).
@@ -322,6 +324,9 @@ struct QueryProfile {
   std::uint64_t bytes_allocated = 0;
 
   /// Projection phase breakdown (kAncestorProject only; zero otherwise).
+  /// check_seconds is the weak-tree check, skipped (≈ 0) when the query
+  /// runs against an in-sync frozen snapshot, whose Freeze proved the tree.
+  double check_seconds = 0.0;
   double locate_seconds = 0.0;
   double update_seconds = 0.0;
   double structure_seconds = 0.0;

@@ -179,8 +179,12 @@ void FrozenInstance::ComputeLevelSchedule() {
 void FrozenInstance::ComputeKernelTables() {
   per_label_mass_all_.assign(kernels_.size(), 1.0);
   row_mask_.assign(row_prob_.size(), 0);
+  std::size_t explicit_n = 0, independent_n = 0, per_label_n = 0;
   for (ObjectId o : topo_order_) {
     const Kernel& k = kernels_[o];
+    explicit_n += k.kind == FrozenOpfKind::kExplicit;
+    independent_n += k.kind == FrozenOpfKind::kIndependent;
+    per_label_n += k.kind == FrozenOpfKind::kPerLabel;
     if (k.kind != FrozenOpfKind::kPerLabel) continue;
     // mass_all multiplies in ascending factor order — the same sequence
     // the scalar recurrence executes, so the cached product has the
@@ -227,6 +231,15 @@ void FrozenInstance::ComputeKernelTables() {
       f.dense = f.vec && dense;
     }
   }
+  kernel_mix_.clear();
+  auto append = [this](const char* name, std::size_t n) {
+    if (n == 0) return;
+    if (!kernel_mix_.empty()) kernel_mix_ += ',';
+    kernel_mix_ += StrCat(name, ":", n);
+  };
+  append("explicit", explicit_n);
+  append("independent", independent_n);
+  append("per_label", per_label_n);
 }
 
 Status FrozenInstance::CompileKernel(FrozenInstance& fz,
@@ -459,36 +472,6 @@ Result<FrozenInstance> FrozenInstance::Refreeze(
   return fz;
 }
 
-std::string FrozenInstance::KernelMix() const {
-  std::size_t explicit_n = 0, independent_n = 0, per_label_n = 0;
-  for (const Kernel& k : kernels_) {
-    switch (k.kind) {
-      case FrozenOpfKind::kExplicit:
-        ++explicit_n;
-        break;
-      case FrozenOpfKind::kIndependent:
-        ++independent_n;
-        break;
-      case FrozenOpfKind::kPerLabel:
-        ++per_label_n;
-        break;
-      case FrozenOpfKind::kLeaf:
-      case FrozenOpfKind::kMissing:
-        break;
-    }
-  }
-  std::string mix;
-  auto append = [&mix](const char* name, std::size_t n) {
-    if (n == 0) return;
-    if (!mix.empty()) mix += ',';
-    mix += StrCat(name, ":", n);
-  };
-  append("explicit", explicit_n);
-  append("independent", independent_n);
-  append("per_label", per_label_n);
-  return mix;
-}
-
 namespace {
 
 /// Builds the pruned path layers K_0..K_n into s->layers over the frozen
@@ -496,13 +479,13 @@ namespace {
 /// a sort restores the canonical ascending order IdSet unions would
 /// give), then prune backward keeping objects with a next-layer child.
 /// Semantically identical to PrunedWeakPathLayers, without building
-/// IdSets. s->mark is zeroed, used as the pruning scratch, and left
-/// zeroed on return.
+/// IdSets. s->mark is all-zero on entry (EpsilonScratch's invariant),
+/// used as the pruning scratch, and left all-zero on return.
 void BuildFrozenPrunedLayers(const FrozenInstance& frozen,
                              const PathExpression& path, EpsilonScratch* s) {
   const std::size_t n = path.labels.size();
   s->SizeTo(s->layers, n + 1);
-  s->FillTo<std::uint8_t>(s->mark, frozen.num_ids(), 0);
+  s->GrowZeroed(s->mark, frozen.num_ids());
   {
     std::vector<ObjectId>& first = s->layers[0];
     const std::size_t cap0 = first.capacity();
@@ -551,7 +534,8 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
                                      EpsilonMemoCache* cache,
                                      EpsilonStats& tally,
                                      EpsilonScratch* scratch,
-                                     QueryControl* control) {
+                                     QueryControl* control,
+                                     bool layers_built) {
   if (path.start != frozen.root()) {
     return Status::BadPath("epsilon propagation paths must start at the root");
   }
@@ -559,9 +543,21 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
   const std::size_t num_ids = frozen.num_ids();
   EpsilonScratch* s = scratch;
 
-  BuildFrozenPrunedLayers(frozen, path, s);
+  if (!layers_built) BuildFrozenPrunedLayers(frozen, path, s);
 
-  s->FillTo(s->eps, num_ids, 0.0);
+  // Every eps slot the pass writes lies on a pruned layer; zero exactly
+  // those on every exit (after the result is read) so the scratch stays
+  // all-zero between passes.
+  s->GrowZeroed(s->eps, num_ids);
+  struct ZeroLayersOnExit {
+    EpsilonScratch* s;
+    std::size_t n;
+    ~ZeroLayersOnExit() {
+      for (std::size_t i = 0; i <= n; ++i) {
+        for (ObjectId j : s->layers[i]) s->eps[j] = 0.0;
+      }
+    }
+  } zero_on_exit{s, n};
   {
     const std::vector<ObjectId>& final_layer = s->layers[n];
     for (ObjectId j : final_layer) s->mark[j] = 1;
@@ -616,7 +612,7 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
   // only its own eps/fp slots; per-row accumulation order matches the
   // generic interpreter exactly for explicit/independent kernels. The
   // vector backends additionally rely on the invariant that eps[j] is
-  // exactly +0.0 for every unmarked child (the pass zero-fills eps and
+  // exactly +0.0 for every unmarked child (eps is all-zero on entry and
   // only pruned-layer objects are written), which lets them drop the
   // mark test — see kernel_batch.h.
   auto process = [&](ObjectId o, std::size_t level, LabelId l) -> Status {
@@ -794,8 +790,11 @@ Status FrozenRootEpsilonSharedImpl(const FrozenInstance& frozen,
   // Parent pointers over the pruned layers. Unique in a tree, and every
   // pruned layer-(i+1) object's parent survives pruning (it has a marked
   // child by definition), so each spine walk below reaches the root.
-  s->FillTo<ObjectId>(s->parent, num_ids, kInvalidId);
+  // Walks read only pruned-layer slots, all written here, so the rest
+  // of the array is never cleared.
+  s->GrowZeroed(s->parent, num_ids);
   if (sweep.ok()) {
+    for (ObjectId o : s->layers[0]) s->parent[o] = kInvalidId;
     for (std::size_t i = 0; i < n; ++i) {
       for (ObjectId o : s->layers[i]) {
         for (ObjectId j : frozen.children(o, path.labels[i])) {
@@ -917,12 +916,12 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  EpsilonMemoCache* cache, EpsilonStats* stats,
                                  EpsilonScratch* scratch,
                                  obs::TraceSession* trace,
-                                 QueryControl* control) {
+                                 QueryControl* control, bool layers_built) {
   obs::TraceSpan span(trace, "epsilon");
   EpsilonStats tally;
-  Result<double> result = FrozenRootEpsilonImpl(frozen, instance, path,
-                                                targets, parallel, cache,
-                                                tally, scratch, control);
+  Result<double> result =
+      FrozenRootEpsilonImpl(frozen, instance, path, targets, parallel, cache,
+                            tally, scratch, control, layers_built);
   FlushEpsilonPass(tally, stats, span, /*frozen=*/true);
   return result;
 }

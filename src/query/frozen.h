@@ -46,6 +46,12 @@ struct EpsilonScratch {
   // The hot arrays the vector kernels read (eps, mark) use the 64-byte
   // aligned allocator: vector loads are aligned, and no two pooled
   // arenas — leased to sibling workers — ever share a cache line.
+  //
+  // Between passes both are all-zero over their whole (grow-only)
+  // length: a pass writes only pruned-layer slots and zeroes exactly
+  // those again on every exit, including errors. That keeps the vector
+  // kernels' "+0.0 for every unmarked child" invariant without an
+  // O(num_ids) fill per pass.
   simd::AlignedVector<double> eps;
   simd::AlignedVector<std::uint8_t> mark;  // pruned-layer membership bitmap
   std::vector<Fingerprint> fp;
@@ -77,13 +83,18 @@ struct EpsilonScratch {
     }
     v.resize(n);
   }
+  /// Grows `v` to at least n elements, value-initializing (zeroing) only
+  /// the new tail and never shrinking — the buffers that every pass
+  /// leaves all-zero (eps, mark) keep that invariant for free, so a pass
+  /// costs nothing proportional to the instance size.
   template <typename T, typename Alloc>
-  void FillTo(std::vector<T, Alloc>& v, std::size_t n, const T& value) {
+  void GrowZeroed(std::vector<T, Alloc>& v, std::size_t n) {
+    if (v.size() >= n) return;
     if (v.capacity() < n) {
       bytes_grown += (n - v.capacity()) * sizeof(T);
       v.reserve(n);
     }
-    v.assign(n, value);
+    v.resize(n);
   }
 };
 
@@ -253,7 +264,8 @@ class FrozenInstance {
   /// Builds the pruned path layers K_0..K_n of `path` into
   /// scratch->layers over the frozen CSR structure (each layer
   /// ascending; scratch->mark is used as pruning scratch and left
-  /// zeroed). Content-identical to PrunedWeakPathLayers over the weak
+  /// all-zero, as it was found). Content-identical to
+  /// PrunedWeakPathLayers over the weak
   /// instance this snapshot froze — CheckWeakTree at Freeze time
   /// guarantees the tree shape the duplicate-free collect relies on —
   /// but without materializing IdSets, so root-anchored queries can
@@ -275,8 +287,9 @@ class FrozenInstance {
   /// The compiled kernel mix as a compact tag, e.g.
   /// "explicit:12,independent:4,per_label:2" (kinds with zero objects are
   /// omitted; leaves/missing are structural, not kernels, and never
-  /// listed). This is the `kernel` tag a QueryProfile carries.
-  std::string KernelMix() const;
+  /// listed). This is the `kernel` tag a QueryProfile carries; Freeze and
+  /// Refreeze compute it once, so reading it costs nothing per query.
+  const std::string& KernelMix() const { return kernel_mix_; }
 
   /// CSR structure: the label ranges of o, ascending by label.
   std::span<const LabelRange> labels_of(ObjectId o) const {
@@ -397,6 +410,9 @@ class FrozenInstance {
   std::vector<double> per_label_mass_all_;     // indexed by ObjectId
   std::vector<std::uint32_t> row_mask_;        // parallel to row_prob_
 
+  /// KernelMix(), computed by ComputeKernelTables.
+  std::string kernel_mix_;
+
   void ComputeLevelSchedule();
   void ComputeKernelTables();
 };
@@ -411,7 +427,10 @@ class FrozenInstance {
 /// A non-null `trace` records the pass as an "epsilon" span with the
 /// pass counters attached (dispatch="frozen"). A non-null `control` makes
 /// the pass cooperative (deadline/budget/cancellation, util/cancel.h);
-/// null costs one branch per per-object evaluation.
+/// null costs one branch per per-object evaluation. With `layers_built`
+/// the pass reuses scratch->layers as left by BuildPrunedLayers(path,
+/// scratch) on this snapshot (the target-discovery step of the point
+/// queries) instead of building them again.
 Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  const ProbabilisticInstance& instance,
                                  const PathExpression& path,
@@ -420,7 +439,8 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  EpsilonMemoCache* cache, EpsilonStats* stats,
                                  EpsilonScratch* scratch,
                                  obs::TraceSession* trace = nullptr,
-                                 QueryControl* control = nullptr);
+                                 QueryControl* control = nullptr,
+                                 bool layers_built = false);
 
 /// The shared multi-target pass (DESIGN.md §12): for each targets[i]
 /// *separately*, the root ε of the single-target configuration

@@ -28,27 +28,71 @@ bool UseFrozenLayers(const ProbabilisticInstance& instance,
          path.start == hooks.frozen->root();
 }
 
+/// Target discovery shared by every ε-pass query kind: the pruned layers
+/// of one path, built once per query. On the frozen route they live in
+/// hooks.scratch and the ε pass reuses them instead of building them a
+/// second time; otherwise the generic walk's IdSets are held here.
+class PathTargets {
+ public:
+  static Result<PathTargets> Find(const ProbabilisticInstance& instance,
+                                  const PathExpression& path,
+                                  const EpsilonHooks& hooks) {
+    PathTargets t;
+    t.n_ = path.labels.size();
+    if (UseFrozenLayers(instance, path, hooks)) {
+      hooks.frozen->BuildPrunedLayers(path, hooks.scratch);
+      t.scratch_ = hooks.scratch;
+    } else {
+      PXML_ASSIGN_OR_RETURN(t.generic_,
+                            PrunedWeakPathLayers(instance.weak(), path));
+    }
+    return t;
+  }
+
+  /// The final pruned layer, ascending.
+  std::span<const ObjectId> objects() const {
+    if (scratch_ != nullptr) return scratch_->layers[n_];
+    return generic_[n_].ids();
+  }
+
+  /// ε_root of `path` with `targets` (all drawn from objects()).
+  Result<double> RootEpsilon(const ProbabilisticInstance& instance,
+                             const PathExpression& path,
+                             std::span<const TargetEps> targets,
+                             const ParallelOptions& parallel,
+                             const EpsilonHooks& hooks) const {
+    if (scratch_ != nullptr) {
+      return FrozenRootEpsilon(*hooks.frozen, instance, path, targets,
+                               parallel, hooks.cache, hooks.stats,
+                               hooks.scratch, hooks.trace, hooks.control,
+                               /*layers_built=*/true);
+    }
+    EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
+                           hooks.frozen, hooks.scratch, hooks.trace,
+                           hooks.control);
+    return prop.RootEpsilon(path, targets);
+  }
+
+ private:
+  std::size_t n_ = 0;
+  EpsilonScratch* scratch_ = nullptr;  // set on the frozen route
+  std::vector<IdSet> generic_;
+};
+
 }  // namespace
 
 Result<double> PointQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, ObjectId object,
                           const ParallelOptions& parallel,
                           const EpsilonHooks& hooks) {
-  if (UseFrozenLayers(instance, path, hooks)) {
-    hooks.frozen->BuildPrunedLayers(path, hooks.scratch);
-    const std::vector<ObjectId>& last =
-        hooks.scratch->layers[path.labels.size()];
-    if (!std::binary_search(last.begin(), last.end(), object)) return 0.0;
-  } else {
-    PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
-                          PrunedWeakPathLayers(instance.weak(), path));
-    if (!layers.back().Contains(object)) return 0.0;
-  }
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
+  PXML_ASSIGN_OR_RETURN(PathTargets match,
+                        PathTargets::Find(instance, path, hooks));
+  const std::span<const ObjectId> last = match.objects();
+  if (!std::binary_search(last.begin(), last.end(), object)) return 0.0;
   const TargetEps target{object, 1.0};
-  return prop.RootEpsilon(path, std::span<const TargetEps>(&target, 1));
+  return match.RootEpsilon(instance, path,
+                           std::span<const TargetEps>(&target, 1), parallel,
+                           hooks);
 }
 
 Result<std::vector<double>> MultiPointQuery(
@@ -73,24 +117,13 @@ Result<double> ExistsQuery(const ProbabilisticInstance& instance,
                            const PathExpression& path,
                            const ParallelOptions& parallel,
                            const EpsilonHooks& hooks) {
+  PXML_ASSIGN_OR_RETURN(PathTargets match,
+                        PathTargets::Find(instance, path, hooks));
   std::vector<TargetEps> targets;
-  if (UseFrozenLayers(instance, path, hooks)) {
-    hooks.frozen->BuildPrunedLayers(path, hooks.scratch);
-    const std::vector<ObjectId>& last =
-        hooks.scratch->layers[path.labels.size()];
-    targets.reserve(last.size());
-    for (ObjectId o : last) targets.push_back(TargetEps{o, 1.0});
-  } else {
-    PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
-                          PrunedWeakPathLayers(instance.weak(), path));
-    targets.reserve(layers.back().size());
-    for (ObjectId o : layers.back()) targets.push_back(TargetEps{o, 1.0});
-  }
+  targets.reserve(match.objects().size());
+  for (ObjectId o : match.objects()) targets.push_back(TargetEps{o, 1.0});
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
-  return prop.RootEpsilon(path, targets);
+  return match.RootEpsilon(instance, path, targets, parallel, hooks);
 }
 
 Result<double> ValueQuery(const ProbabilisticInstance& instance,
@@ -111,10 +144,11 @@ Result<double> ConditionProbability(const ProbabilisticInstance& instance,
                       hooks);
   }
   const WeakInstance& weak = instance.weak();
-  PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
-                        PrunedWeakPathLayers(weak, condition.path));
+  PXML_ASSIGN_OR_RETURN(PathTargets match,
+                        PathTargets::Find(instance, condition.path, hooks));
   std::vector<TargetEps> targets;
-  for (ObjectId o : layers.back()) {
+  targets.reserve(match.objects().size());
+  for (ObjectId o : match.objects()) {
     // The per-target survival scans below stream VPF entries or the
     // (possibly exponential) OPF support; keep them cooperative too.
     if (hooks.control != nullptr) {
@@ -142,29 +176,16 @@ Result<double> ConditionProbability(const ProbabilisticInstance& instance,
               StrCat("non-leaf '", weak.dict().ObjectName(o),
                      "' has no OPF"));
         }
-        const IdSet& lch = weak.Lch(o, condition.count_label);
-        Status stream_status;
-        std::uint64_t rows = 0;
-        opf->ForEachEntry([&](const OpfEntry& row) {
-          if (!stream_status.ok()) return;
-          std::uint32_t k = 0;
-          row.child_set.ForEachIntersecting(lch,
-                                            [&](ObjectId) { ++k; });
-          if (condition.count_range.Contains(k)) e += row.prob;
-          if (hooks.control != nullptr && ++rows % 1024 == 0) {
-            stream_status = hooks.control->Charge(1024);
-          }
-        });
-        PXML_RETURN_IF_ERROR(stream_status);
+        PXML_ASSIGN_OR_RETURN(
+            e, opf->CountInRangeProb(weak.Lch(o, condition.count_label),
+                                     condition.count_range, hooks.control));
       }
     }
     targets.push_back(TargetEps{o, e});
   }
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
-  return prop.RootEpsilon(condition.path, targets);
+  return match.RootEpsilon(instance, condition.path, targets, parallel,
+                           hooks);
 }
 
 Result<double> ChainProbability(const ProbabilisticInstance& instance,

@@ -178,6 +178,7 @@ TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
     BatchOptions opts;
     opts.threads = threads;
     opts.min_parallel_width = 1;
+    opts.cache = true;
     QueryEngine engine(inst, opts);  // owning copy, cache on
     // Run the batch twice: cold pass fills the cache, warm pass is
     // served from it. Both must match the uncached serial answers.
@@ -201,7 +202,7 @@ TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
 
 TEST(QueryEngineTest, RepeatBatchServedEntirelyFromCache) {
   const ProbabilisticInstance inst = MakeUniformTree(4, 3, 0xAB);
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  QueryEngine engine(inst, BatchOptions{.threads = 1, .cache = true});
   const PathExpression path = FullDepthPath(inst, 4);
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(path), BatchQuery::ValueEquals(path, Value("v0"))};
@@ -228,7 +229,7 @@ TEST(QueryEngineTest, LocalUpdateRecomputesOnlyDirtySpine) {
   // 364 internal objects on the full-depth path.
   const std::uint32_t depth = 6;
   const ProbabilisticInstance inst = MakeUniformTree(depth, 3, 0x7EE);
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  QueryEngine engine(inst, BatchOptions{.threads = 1, .cache = true});
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(FullDepthPath(inst, depth))};
 
@@ -274,7 +275,7 @@ TEST(QueryEngineTest, LocalUpdateRecomputesOnlyDirtySpine) {
 
 TEST(QueryEngineTest, UpdateAtRootInvalidatesOnlyRootEntry) {
   const ProbabilisticInstance inst = MakeUniformTree(5, 3, 0x300);
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  QueryEngine engine(inst, BatchOptions{.threads = 1, .cache = true});
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(FullDepthPath(inst, 5))};
   BatchStats cold;
@@ -303,7 +304,7 @@ TEST(QueryEngineTest, UpdateAtRootInvalidatesOnlyRootEntry) {
 TEST(QueryEngineTest, LeafVpfUpdateRecomputesOnlyLeafSpine) {
   const std::uint32_t depth = 5;
   const ProbabilisticInstance inst = MakeUniformTree(depth, 3, 0x301);
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  QueryEngine engine(inst, BatchOptions{.threads = 1, .cache = true});
   const PathExpression path = FullDepthPath(inst, depth);
   const std::vector<BatchQuery> queries = {
       BatchQuery::ValueEquals(path, Value("v0"))};
@@ -364,7 +365,7 @@ TEST(QueryEngineTest, UpdateOutsideQueriedPathRecomputesOnlyRoot) {
   ASSERT_TRUE(b1_opf->AddChild(b2, 0.4).ok());
   ASSERT_TRUE(inst.SetOpf(b1, std::move(b1_opf)).ok());
 
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  QueryEngine engine(inst, BatchOptions{.threads = 1, .cache = true});
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(MakePath(engine.instance().dict(), root, {"a", "a"}))};
   BatchStats cold;
@@ -407,6 +408,7 @@ TEST(QueryEngineTest, RandomizedInterleavingsMatchUncachedAndWorldsOracle) {
     BatchOptions opts;
     opts.threads = threads;
     opts.min_parallel_width = 1;
+    opts.cache = true;
     QueryEngine engine(inst, opts);
     Rng mrng(0xA0);  // mutation stream
     Rng qrng(0xB0);  // query stream
@@ -545,6 +547,7 @@ TEST(QueryEngineTest, ConcurrentMutateAndQueryHammer) {
   BatchOptions opts;
   opts.threads = 4;
   opts.min_parallel_width = 1;
+  opts.cache = true;
   QueryEngine engine(inst, opts);
   const PathExpression path = FullDepthPath(inst, 4);
   const std::vector<BatchQuery> queries = {
@@ -675,7 +678,7 @@ TEST(QueryEngineTest, ReplaceSubtreeGraftsDonorInterpretation) {
   // Graft the donor's ℘ under the root's first child.
   const ObjectId at =
       *original.weak().dict().FindObject("n1");  // first child of n0
-  QueryEngine engine(original, BatchOptions{.threads = 1});
+  QueryEngine engine(original, BatchOptions{.threads = 1, .cache = true});
   const PathExpression path = FullDepthPath(original, depth);
   ASSERT_TRUE(engine.Run({BatchQuery::Exists(path)}).ok());  // warm the cache
   ASSERT_TRUE(engine.ReplaceSubtree(at, donor, at).ok());
@@ -745,6 +748,7 @@ TEST(QueryEngineTest, CacheRespectsLruBound) {
   const ProbabilisticInstance inst = MakeUniformTree(4, 3, 0xCC);
   BatchOptions opts;
   opts.threads = 1;
+  opts.cache = true;
   // A byte budget of exactly four entry footprints admits four entries.
   opts.cache_bytes = 4 * EpsilonMemoCache::kBytesPerEntry;
   QueryEngine engine(inst, opts);
@@ -757,6 +761,7 @@ TEST(QueryEngineTest, CacheRespectsLruBound) {
   // unbounded.
   BatchOptions tiny;
   tiny.threads = 1;
+  tiny.cache = true;
   tiny.cache_bytes = 0;
   QueryEngine clamped(inst, tiny);
   ASSERT_TRUE(clamped.Run({BatchQuery::Exists(FullDepthPath(inst, 4))}).ok());

@@ -500,5 +500,266 @@ TEST(FrozenKernelTest, PerLabelCountersShowTenfoldWinAndWarmReuse) {
   EXPECT_GE(generic_proj.opf_row_ops, 10 * warm_proj.opf_row_ops);
 }
 
+
+// ---------------------------------------------------------------------------
+// Value and cardinality conditions: targets found on the frozen layers,
+// per-label cardinality survival read from one factor
+
+TEST(FrozenKernelTest, ConditionsMatchGenericAndWorldsAcrossRepresentations) {
+  for (OpfStyle style : {OpfStyle::kExplicitTable, OpfStyle::kIndependent,
+                         OpfStyle::kPerLabelProduct}) {
+    GeneratorConfig config;
+    config.depth = 2;
+    config.branching = 2;
+    config.labels_per_level = 2;
+    config.opf_style = style;
+    config.seed = 0xC0 + static_cast<std::uint64_t>(style);
+    config.with_leaf_values = true;
+    auto generated = GenerateBalancedTree(config);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    ProbabilisticInstance built = std::move(*generated);
+    // A label no object has potential children under: every count is 0.
+    const LabelId childless = built.weak().dict().InternLabel("childless");
+    const ProbabilisticInstance& inst = built;  // const view from here on
+    auto frozen = FrozenInstance::Freeze(inst);
+    ASSERT_TRUE(frozen.ok()) << frozen.status();
+
+    std::vector<SelectionCondition> conditions;
+    Rng rng(0xC0DE);
+    for (int q = 0; q < 3; ++q) {
+      auto path = GenerateAcceptedPath(inst, rng);
+      ASSERT_TRUE(path.ok()) << path.status();
+      ASSERT_EQ(path->labels.size(), 2u);
+      const LabelId last = path->labels.back();
+      PathExpression prefix = *path;
+      prefix.labels.pop_back();
+      conditions.push_back(SelectionCondition::ValueEquals(*path, Value("v0")));
+      conditions.push_back(SelectionCondition::ValueEquals(*path, Value("v1")));
+      conditions.push_back(
+          SelectionCondition::ValueCompare(*path, ValueOp::kNe, Value("v0")));
+      for (const IntInterval& range :
+           {IntInterval(0, 0), IntInterval(1, 1), IntInterval(0, 2)}) {
+        conditions.push_back(
+            SelectionCondition::CardinalityIn(prefix, last, range));
+        conditions.push_back(
+            SelectionCondition::CardinalityIn(prefix, childless, range));
+        // Leaf targets: a leaf has no children under any label.
+        conditions.push_back(
+            SelectionCondition::CardinalityIn(*path, last, range));
+      }
+    }
+
+    EpsilonScratch scratch;
+    for (const SelectionCondition& c : conditions) {
+      auto generic = ConditionProbability(inst, c);
+      ASSERT_TRUE(generic.ok()) << generic.status();
+      auto oracle = ConditionProbabilityViaWorlds(inst, c);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      EXPECT_NEAR(*generic, *oracle, 1e-12) << c.ToString(inst.dict());
+
+      EpsilonStats stats;
+      EpsilonHooks hooks;
+      hooks.stats = &stats;
+      hooks.frozen = &*frozen;
+      hooks.scratch = &scratch;
+      auto got = ConditionProbability(inst, c, {}, hooks);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(stats.generic_passes.load(), 0u);
+      if (style == OpfStyle::kPerLabelProduct) {
+        EXPECT_NEAR(*got, *generic, 1e-12) << c.ToString(inst.dict());
+      } else {
+        // Explicit and independent kernels and survival streams replay
+        // the generic accumulation: same bits.
+        EXPECT_EQ(*got, *generic) << c.ToString(inst.dict());
+      }
+    }
+  }
+}
+
+TEST(FrozenKernelTest, KernelMixAfterRefreezeEqualsFreeze) {
+  auto generated = Generate(OpfStyle::kExplicitTable, 2, 2, 0x313);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  ProbabilisticInstance inst = std::move(*generated);
+  const ProbabilisticInstance& cinst = inst;
+  auto frozen = FrozenInstance::Freeze(cinst);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+  EXPECT_EQ(frozen->KernelMix(), "explicit:3");
+
+  // Change the root's kernel kind: explicit → independent (℘ only, so
+  // Refreeze applies).
+  const ObjectId root = cinst.weak().root();
+  auto opf = std::make_unique<IndependentOpf>();
+  for (ObjectId child : cinst.weak().AllPotentialChildren(root)) {
+    ASSERT_TRUE(opf->AddChild(child, 0.5).ok());
+  }
+  ASSERT_TRUE(inst.SetOpf(root, std::move(opf)).ok());
+  auto refrozen = FrozenInstance::Refreeze(*frozen, cinst);
+  ASSERT_TRUE(refrozen.ok()) << refrozen.status();
+  auto fresh = FrozenInstance::Freeze(cinst);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(refrozen->KernelMix(), fresh->KernelMix());
+  EXPECT_EQ(refrozen->KernelMix(), "explicit:2,independent:1");
+  EXPECT_EQ(frozen->KernelMix(), "explicit:3");  // the old snapshot keeps its own
+}
+
+/// Asserts the scratch arrays every frozen pass must leave all-zero.
+void ExpectScratchZero(const EpsilonScratch& scratch, std::size_t num_ids,
+                       const char* when) {
+  ASSERT_GE(scratch.eps.size(), num_ids) << when;
+  ASSERT_GE(scratch.mark.size(), num_ids) << when;
+  for (std::size_t i = 0; i < scratch.eps.size(); ++i) {
+    EXPECT_EQ(scratch.eps[i], 0.0) << when << ": eps[" << i << "]";
+  }
+  for (std::size_t i = 0; i < scratch.mark.size(); ++i) {
+    EXPECT_EQ(scratch.mark[i], 0) << when << ": mark[" << i << "]";
+  }
+}
+
+TEST(FrozenKernelTest, PassesLeaveScratchAllZeroOnSuccessAndError) {
+  // root --a--> c1, c2 (independent); c1 --b--> g1, g2 (independent);
+  // c2 --b--> g3 with no ℘: a pass over a.b evaluates c1 (writing its
+  // ε) and then fails at c2.
+  ProbabilisticInstance built;
+  WeakInstance& weak = built.weak();
+  const LabelId a = weak.dict().InternLabel("a");
+  const LabelId b = weak.dict().InternLabel("b");
+  const ObjectId root = weak.AddObject("root");
+  ASSERT_TRUE(weak.SetRoot(root).ok());
+  const ObjectId c1 = weak.AddObject("c1");
+  const ObjectId c2 = weak.AddObject("c2");
+  const ObjectId g1 = weak.AddObject("g1");
+  const ObjectId g2 = weak.AddObject("g2");
+  const ObjectId g3 = weak.AddObject("g3");
+  ASSERT_TRUE(weak.AddPotentialChild(root, a, c1).ok());
+  ASSERT_TRUE(weak.AddPotentialChild(root, a, c2).ok());
+  ASSERT_TRUE(weak.AddPotentialChild(c1, b, g1).ok());
+  ASSERT_TRUE(weak.AddPotentialChild(c1, b, g2).ok());
+  ASSERT_TRUE(weak.AddPotentialChild(c2, b, g3).ok());
+  auto root_opf = std::make_unique<IndependentOpf>();
+  ASSERT_TRUE(root_opf->AddChild(c1, 0.6).ok());
+  ASSERT_TRUE(root_opf->AddChild(c2, 0.7).ok());
+  ASSERT_TRUE(built.SetOpf(root, std::move(root_opf)).ok());
+  auto c1_opf = std::make_unique<IndependentOpf>();
+  ASSERT_TRUE(c1_opf->AddChild(g1, 0.3).ok());
+  ASSERT_TRUE(c1_opf->AddChild(g2, 0.4).ok());
+  ASSERT_TRUE(built.SetOpf(c1, std::move(c1_opf)).ok());
+  const ProbabilisticInstance& inst = built;
+  auto frozen = FrozenInstance::Freeze(inst);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+  const std::size_t num_ids = frozen->num_ids();
+
+  PathExpression ab;
+  ab.start = root;
+  ab.labels = {a, b};
+  PathExpression a_only;
+  a_only.start = root;
+  a_only.labels = {a};
+
+  EpsilonScratch scratch;
+  EpsilonHooks hooks;
+  hooks.frozen = &*frozen;
+  hooks.scratch = &scratch;
+
+  // Success.
+  auto ok = ExistsQuery(inst, a_only, {}, hooks);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_DOUBLE_EQ(*ok, 1.0 - 0.4 * 0.3);
+  ExpectScratchZero(scratch, num_ids, "after success");
+
+  // An error mid-pass, after level 1 wrote eps[c1].
+  auto missing = ExistsQuery(inst, ab, {}, hooks);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kFailedPrecondition);
+  ExpectScratchZero(scratch, num_ids, "after a missing-OPF error");
+
+  // An error in target validation, after a valid target's eps was written.
+  const TargetEps targets[] = {{c1, 0.5}, {g1, 1.0}};
+  auto bad = FrozenRootEpsilon(*frozen, inst, a_only, targets, {}, nullptr,
+                               nullptr, &scratch);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kBadPath);
+  ExpectScratchZero(scratch, num_ids, "after a bad target");
+
+  // And the arrays are still usable: the same answer as the first pass.
+  auto again = ExistsQuery(inst, a_only, {}, hooks);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(*again, *ok);
+  ExpectScratchZero(scratch, num_ids, "after a repeat");
+}
+
+// ---------------------------------------------------------------------------
+// Engine projections on an in-sync snapshot skip the (Freeze-proven) tree
+// check without changing answers or statuses
+
+TEST(FrozenKernelTest, EngineProjectionsMatchTheCheckedGenericPath) {
+  auto generated = Generate(OpfStyle::kExplicitTable, 3, 2, 0xACE);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const ProbabilisticInstance& inst = *generated;
+  Rng rng(0xACE1);
+  std::vector<BatchQuery> queries;
+  for (int q = 0; q < 4; ++q) {
+    auto path = GenerateAcceptedPath(inst, rng);
+    ASSERT_TRUE(path.ok()) << path.status();
+    queries.push_back(BatchQuery::AncestorProjection(*path));
+  }
+  PathExpression off_root = queries[0].path;  // starts below the root
+  off_root.start = inst.weak().AllPotentialChildren(inst.weak().root())[0];
+  off_root.labels.pop_back();
+  queries.push_back(BatchQuery::AncestorProjection(off_root));
+
+  BatchOptions checked_opts;
+  checked_opts.threads = 1;
+  checked_opts.frozen = false;
+  QueryEngine checked(&inst, checked_opts);
+  BatchStats checked_stats;
+  auto want = checked.Run(queries, &checked_stats);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  BatchOptions frozen_opts;
+  frozen_opts.threads = 1;
+  QueryEngine frozen_engine(&inst, frozen_opts);
+  auto got = frozen_engine.Run(queries);
+  ASSERT_TRUE(got.ok()) << got.status();
+
+  double check_sum = 0.0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const BatchAnswer& w = (*want)[i];
+    const BatchAnswer& g = (*got)[i];
+    ASSERT_EQ(g.status.code(), w.status.code()) << i << ": " << g.status;
+    check_sum += w.profile.check_seconds;
+    if (!w.status.ok()) continue;
+    EXPECT_EQ(g.profile.frozen_passes, 1u) << i;
+    // The generic engine ran the tree check, and its profile says so.
+    EXPECT_GT(w.profile.check_seconds, 0.0) << i;
+    auto want_worlds = EnumerateWorlds(*w.projection);
+    ASSERT_TRUE(want_worlds.ok()) << want_worlds.status();
+    auto got_worlds = EnumerateWorlds(*g.projection);
+    ASSERT_TRUE(got_worlds.ok()) << got_worlds.status();
+    ExpectSameDistribution(*got_worlds, *want_worlds, 1e-12);
+  }
+  EXPECT_EQ(checked_stats.check_seconds, check_sum);
+  EXPECT_EQ((*want)[queries.size() - 1].status.code(),
+            StatusCode::kInvalidArgument);
+
+  // A DAG cannot be frozen: both engines run the check and refuse alike.
+  DagConfig dag_config;
+  dag_config.seed = 0xDA6;
+  dag_config.edge_density = 0.9;
+  auto dag = GenerateRandomDag(dag_config);
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  ASSERT_FALSE(CheckWeakTree(dag->weak()).ok());
+  PathExpression dag_path;
+  dag_path.start = dag->weak().root();
+  dag_path.labels = {0};
+  QueryEngine dag_checked(&*dag, checked_opts);
+  QueryEngine dag_frozen(&*dag, frozen_opts);
+  const BatchAnswer dag_want =
+      dag_checked.RunOne(BatchQuery::AncestorProjection(dag_path));
+  const BatchAnswer dag_got =
+      dag_frozen.RunOne(BatchQuery::AncestorProjection(dag_path));
+  ASSERT_FALSE(dag_want.status.ok());
+  EXPECT_EQ(dag_got.status.code(), dag_want.status.code());
+}
+
 }  // namespace
 }  // namespace pxml

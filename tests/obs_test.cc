@@ -519,6 +519,7 @@ TEST(ObsEngineTest, QueryProfilesSumExactlyToBatchStats) {
   for (std::size_t threads : {1u, 4u}) {
     BatchOptions opts;
     opts.threads = threads;
+    opts.cache = true;
     QueryEngine engine(inst, opts);
     // Two passes so profiles are exercised both cold and cache-warm.
     for (int pass = 0; pass < 2; ++pass) {

@@ -236,6 +236,91 @@ TEST(PerLabelOpfTest, RejectsOverlappingUniverses) {
   EXPECT_FALSE(opf.AddLabelFactor(0, fb).ok());  // duplicate label
 }
 
+/// P(|C ∩ set| ∈ range) by the definition, over the canonical Entries().
+double CountInRangeByDefinition(const Opf& opf, const IdSet& set,
+                                const IntInterval& range) {
+  double p = 0.0;
+  for (const OpfEntry& e : opf.Entries()) {
+    if (range.Contains(static_cast<std::uint32_t>(
+            e.child_set.Intersect(set).size()))) {
+      p += e.prob;
+    }
+  }
+  return p;
+}
+
+TEST(CountInRangeTest, PerLabelReadsOneFactorWithinToleranceOfTheStream) {
+  // Label 0 over {1, 2, 3}, label 1 over {4, 5}, label 2 over {6}.
+  ExplicitOpf f0;
+  f0.Set(IdSet(), 0.1);
+  f0.Set(IdSet{1}, 0.2);
+  f0.Set(IdSet{1, 2}, 0.3);
+  f0.Set(IdSet{1, 2, 3}, 0.4);
+  ExplicitOpf f1;
+  f1.Set(IdSet{4}, 0.25);
+  f1.Set(IdSet{4, 5}, 0.75);
+  // Unnormalized (mass 0.95), so the other-factor masses show.
+  ExplicitOpf f2;
+  f2.Set(IdSet(), 0.45);
+  f2.Set(IdSet{6}, 0.5);
+  PerLabelProductOpf opf;
+  ASSERT_TRUE(opf.AddLabelFactor(0, f0).ok());
+  ASSERT_TRUE(opf.AddLabelFactor(1, f1).ok());
+  ASSERT_TRUE(opf.AddLabelFactor(2, f2).ok());
+
+  const IdSet sets[] = {IdSet{1, 2, 3}, IdSet{4, 5}, IdSet{6}, IdSet{},
+                        IdSet{2, 3}, IdSet{9}};
+  const IntInterval ranges[] = {{0, 0}, {1, 1}, {0, 2}, {2, 3},
+                                {0, IntInterval::kUnbounded}};
+  for (const IdSet& set : sets) {
+    for (const IntInterval& range : ranges) {
+      auto fast = opf.CountInRangeProb(set, range, nullptr);
+      auto stream = opf.Opf::CountInRangeProb(set, range, nullptr);
+      ASSERT_TRUE(fast.ok()) << fast.status();
+      ASSERT_TRUE(stream.ok()) << stream.status();
+      EXPECT_NEAR(*fast, *stream, 1e-12) << range;
+      EXPECT_NEAR(*fast, CountInRangeByDefinition(opf, set, range), 1e-12)
+          << range;
+    }
+  }
+  // A set meeting two factors falls back to the stream: same bits.
+  const IdSet across{3, 4};
+  for (const IntInterval& range : ranges) {
+    auto fast = opf.CountInRangeProb(across, range, nullptr);
+    auto stream = opf.Opf::CountInRangeProb(across, range, nullptr);
+    ASSERT_TRUE(fast.ok() && stream.ok());
+    EXPECT_EQ(*fast, *stream) << range;
+  }
+}
+
+TEST(CountInRangeTest, ExplicitAndIndependentKeepTheStream) {
+  ExplicitOpf ex;
+  ex.Set(IdSet(), 0.15);
+  ex.Set(IdSet{1}, 0.35);
+  ex.Set(IdSet{1, 2}, 0.5);
+  IndependentOpf ind;
+  ASSERT_TRUE(ind.AddChild(1, 0.3).ok());
+  ASSERT_TRUE(ind.AddChild(2, 0.6).ok());
+  ASSERT_TRUE(ind.AddChild(3, 0.9).ok());
+  for (const Opf* opf : {static_cast<const Opf*>(&ex),
+                         static_cast<const Opf*>(&ind)}) {
+    for (const IntInterval& range :
+         {IntInterval(0, 0), IntInterval(1, 1), IntInterval(0, 2)}) {
+      // The stream, summed by hand in ForEachEntry order: same bits.
+      double want = 0.0;
+      opf->ForEachEntry([&](const OpfEntry& e) {
+        if (range.Contains(static_cast<std::uint32_t>(
+                e.child_set.Intersect(IdSet{1, 2}).size()))) {
+          want += e.prob;
+        }
+      });
+      auto got = opf->CountInRangeProb(IdSet{1, 2}, range, nullptr);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, want) << opf->RepresentationName() << " " << range;
+    }
+  }
+}
+
 // -------------------------------------------------------------------- Vpf
 
 TEST(VpfTest, SetLookupValidate) {
