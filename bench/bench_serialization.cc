@@ -99,10 +99,8 @@ void BM_WriteFile_fig7_pipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteFile_fig7_pipeline);
 
-void BM_Parse(benchmark::State& state) {
-  ProbabilisticInstance inst =
-      MakeTree(static_cast<std::uint32_t>(state.range(0)));
-  std::string text = SerializePxml(inst);
+void Parse(benchmark::State& state, const ProbabilisticInstance& inst) {
+  const std::string text = SerializePxml(inst);
   for (auto _ : state) {
     auto parsed = ParsePxml(text);
     if (!parsed.ok()) std::abort();
@@ -111,8 +109,19 @@ void BM_Parse(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(text.size()) *
       static_cast<std::int64_t>(state.iterations()));
+  state.counters["objects"] =
+      static_cast<double>(inst.weak().num_objects());
+}
+
+void BM_Parse(benchmark::State& state) {
+  Parse(state, MakeTree(static_cast<std::uint32_t>(state.range(0))));
 }
 BENCHMARK(BM_Parse)->DenseRange(2, 6, 1);
+
+void BM_Parse_fig7_pipeline(benchmark::State& state) {
+  Parse(state, MakeFig7PipelineTree());
+}
+BENCHMARK(BM_Parse_fig7_pipeline);
 
 void BM_DeepCopy(benchmark::State& state) {
   // The "copy the input instance" phase of every Fig 7 query.

@@ -33,12 +33,25 @@ void ProbabilisticInstance::EnsureSize(ObjectId o) {
 
 void ProbabilisticInstance::NoteLocalChange(ObjectId o) {
   ++version_;
-  // Stamp o and every potential ancestor with the new version. On a tree
-  // this is one root-ward walk (O(depth)); on a DAG the version guard
-  // makes diamond re-visits O(1).
-  std::vector<ObjectId> stack{o};
+  // Stamp o and every potential ancestor with the new version. While each
+  // object has at most one potential parent (always, on a tree) this is
+  // one root-ward walk that allocates nothing; the first object with two
+  // parents hands its parents to a stack, whose version guard makes
+  // diamond re-visits O(1).
+  ObjectId x = o;
+  for (;;) {
+    if (x >= subtree_change_.size()) subtree_change_.resize(x + 1, 0);
+    if (subtree_change_[x] == version_) return;
+    subtree_change_[x] = version_;
+    const std::vector<ObjectId>& parents = weak_.PotentialParents(x);
+    if (parents.empty()) return;
+    if (parents.size() > 1) break;
+    x = parents.front();
+  }
+  std::vector<ObjectId> stack(weak_.PotentialParents(x).begin(),
+                              weak_.PotentialParents(x).end());
   while (!stack.empty()) {
-    ObjectId x = stack.back();
+    x = stack.back();
     stack.pop_back();
     if (x >= subtree_change_.size()) subtree_change_.resize(x + 1, 0);
     if (subtree_change_[x] == version_) continue;

@@ -130,8 +130,15 @@ class TraceSpan {
     // OpenSpan hands it a recycled buffer.
     index_ = session != nullptr ? session->OpenSpan(name, &args_) : kNoSpan;
   }
-  ~TraceSpan() {
-    if (session_ != nullptr) session_->CloseSpan(index_, std::move(args_));
+  ~TraceSpan() { End(); }
+
+  /// Closes the span before its scope ends; later calls (and the
+  /// destructor) do nothing. Spans on one thread must still close
+  /// innermost first.
+  void End() {
+    if (session_ == nullptr) return;
+    session_->CloseSpan(index_, std::move(args_));
+    session_ = nullptr;
   }
 
   TraceSpan(const TraceSpan&) = delete;

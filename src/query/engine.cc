@@ -1101,15 +1101,24 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     return AnswerAll(queries, cancelled, threads(), stats);
   }
 
+  // The batch span covers everything from here on. The batch-level steps
+  // get child spans of their own (pin, plan, admit, prepare, share,
+  // record, stats) beside the per-query spans, so the tree accounts for
+  // the batch's whole wall time; untraced, each is one null test.
+  obs::TraceSpan batch_span(trace, "batch");
+
   // One pinned epoch for the whole batch: the shared_ptr keeps the
   // snapshot (instance + frozen form) alive however many mutation scopes
   // commit meanwhile; every answer is computed against this one
   // committed state. Pinned before admission so the cost gate can read
   // the snapshot's CSR sizes.
+  obs::TraceSpan pin_span(trace, "pin");
   const std::shared_ptr<const Epoch> epoch = PinSnapshot();
+  pin_span.End();
   const ProbabilisticInstance& pinned = *epoch->instance;
   const FrozenInstance* frozen = epoch->frozen.get();
 
+  obs::TraceSpan plan_span(trace, "plan");
   std::vector<BatchAnswer> answers(queries.size());
 
   // ---- Step 1½: batch planning (DESIGN.md §12) — the cross-query reuse
@@ -1230,6 +1239,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     return !plan_enabled ||
            (!served[i] && leader_of[i] == i && !in_sibling[i]);
   };
+  plan_span.End();
 
   // ---- Step 2: admission. The estimate is deliberately cheap and
   // per-query uniform: one ε pass visits every compiled row once, so
@@ -1247,7 +1257,9 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   BacklogGauge().Set(pool_ != nullptr
                          ? static_cast<std::int64_t>(pool_->queued_tasks())
                          : 0);
+  obs::TraceSpan admit_span(trace, "admit");
   const Status admitted = Admit(request, per_query_cost * exec_units);
+  admit_span.End();
   if (!admitted.ok()) {
     RejectedBatches().Increment();
     ShedWaitNs().Record(static_cast<std::uint64_t>(
@@ -1264,7 +1276,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     ~SlotRelease() { engine->ReleaseAdmission(); }
   } slot_release{this};
 
-  obs::TraceSpan batch_span(trace, "batch");
+  obs::TraceSpan prepare_span(trace, "prepare");
   const auto wall0 = std::chrono::steady_clock::now();
   const double cpu0 = ProcessCpuSeconds();
   const EpsilonMemoCache::Stats cache0 = cache_stats();
@@ -1308,6 +1320,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   std::vector<EpsilonStats> eps_stats(queries.size());
 
   const std::uint64_t epoch_id = epoch->id;
+  prepare_span.End();
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (!runs_own_query(i)) continue;
@@ -1347,6 +1360,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     group.Wait();
   }
 
+  obs::TraceSpan share_span(trace, "share");
   // Duplicate followers copy their leader's (identical) answer — status,
   // probability, and a COW copy of any projection — with a zero-work
   // profile riding the leader's group id.
@@ -1386,6 +1400,9 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     }
   }
 
+  share_span.End();
+
+  obs::TraceSpan record_span(trace, "record");
   // Completion loop: stamp the epoch, tally trip codes, and write each
   // query's flight record — the one always-on write per completion the
   // ≤2% recorder gate bounds. The fingerprint reuses the planner's
@@ -1422,7 +1439,9 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   // How far behind the head this batch's answers are at completion
   // (0 = no mutation committed while it ran).
   SnapshotAge().Record(head_epoch() - epoch->id);
+  record_span.End();
 
+  obs::TraceSpan stats_span(trace, "stats");
   {
     using obs::Registry;
     static obs::Counter& c_batches =
@@ -1482,6 +1501,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
                               .count();
     stats->cpu_seconds = ProcessCpuSeconds() - cpu0;
   }
+  stats_span.End();
   if (batch_span.enabled()) {
     batch_span.Arg("queries", static_cast<std::uint64_t>(queries.size()));
     batch_span.Arg("threads", static_cast<std::uint64_t>(threads()));

@@ -470,10 +470,12 @@ class QueryEngine {
   /// pxml.engine.{admitted,rejected}.
   ///
   /// A non-null `trace` records the batch as a span tree — one "batch"
-  /// root, one "query:<kind>" span per query (linked from its
-  /// QueryProfile::span), and the per-pass operator spans beneath — for
-  /// export via obs::TraceSession::WriteChromeTrace. Null is the
-  /// zero-cost disabled path; tracing never changes answers.
+  /// root; beneath it the batch-level steps ("pin", "plan", "admit",
+  /// "prepare", "share", "record", "stats") and one "query:<kind>" span
+  /// per query (linked from its QueryProfile::span), with the per-pass
+  /// operator spans beneath those — for export via
+  /// obs::TraceSession::WriteChromeTrace. Null is the zero-cost disabled
+  /// path; tracing never changes answers.
   Result<std::vector<BatchAnswer>> Run(const std::vector<BatchQuery>& queries,
                                        const QueryRequest& request,
                                        BatchStats* stats = nullptr,

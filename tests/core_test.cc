@@ -6,9 +6,12 @@
 #include "core/validation.h"
 #include "core/weak_instance.h"
 #include "fixtures.h"
+#include "util/rng.h"
 #include "graph/algorithms.h"
 #include "workload/generator.h"
 #include "workload/paper_instances.h"
+#include "xml/parser.h"
+#include "xml/writer.h"
 
 namespace pxml {
 namespace {
@@ -501,6 +504,104 @@ TEST(ValidationTest, DetectsCycle) {
   ASSERT_TRUE(weak.AddPotentialChild(a, l, b).ok());
   ASSERT_TRUE(weak.AddPotentialChild(b, l, a).ok());
   EXPECT_FALSE(ValidateWeakInstance(weak).ok());
+}
+
+
+// ------------------------------------------------- change-version stamps
+
+/// The stamps NoteLocalChange has always produced: a stack walk from o
+/// over every potential parent, guarded by the new version.
+void ReferenceStamp(const WeakInstance& weak, ObjectId o, std::uint64_t version,
+                    std::vector<std::uint64_t>* stamps) {
+  std::vector<ObjectId> stack{o};
+  while (!stack.empty()) {
+    const ObjectId x = stack.back();
+    stack.pop_back();
+    if ((*stamps)[x] == version) continue;
+    (*stamps)[x] = version;
+    for (ObjectId p : weak.PotentialParents(x)) stack.push_back(p);
+  }
+}
+
+/// Parses `source`'s serialization, copies the parsed structure into a
+/// fresh instance, and replays the parsed OPFs and VPFs onto it in a
+/// shuffled order, checking version() and every SubtreeChangeVersion
+/// against the reference walk after each call. Counts the objects with
+/// more than one potential parent into `*shared`.
+void ExpectStampsMatchReference(const ProbabilisticInstance& source,
+                                std::uint64_t seed, std::size_t* shared) {
+  auto parsed = ParsePxml(SerializePxml(source));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ProbabilisticInstance replay;
+  replay.weak() = parsed->weak();
+  const WeakInstance& weak = std::as_const(replay).weak();
+  const std::size_t n = weak.dict().num_objects();
+  std::vector<std::uint64_t> expected(n);
+  for (ObjectId o = 0; o < n; ++o) {
+    expected[o] = replay.SubtreeChangeVersion(o);
+    if (weak.PotentialParents(o).size() > 1) ++*shared;
+  }
+  std::vector<ObjectId> order(n);
+  for (ObjectId o = 0; o < n; ++o) order[o] = o;
+  Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+  std::uint64_t version = replay.version();
+  std::size_t calls = 0;
+  for (ObjectId o : order) {
+    for (int kind = 0; kind < 2; ++kind) {
+      if (kind == 0) {
+        const Opf* opf = parsed->GetOpf(o);
+        if (opf == nullptr) continue;
+        ASSERT_TRUE(replay.SetOpf(o, opf->Clone()).ok());
+      } else {
+        const Vpf* vpf = parsed->GetVpf(o);
+        if (vpf == nullptr) continue;
+        ASSERT_TRUE(replay.SetVpf(o, *vpf).ok());
+      }
+      ++calls;
+      ReferenceStamp(weak, o, ++version, &expected);
+      ASSERT_EQ(replay.version(), version);
+      for (ObjectId x = 0; x < n; ++x) {
+        ASSERT_EQ(replay.SubtreeChangeVersion(x), expected[x])
+            << "object " << weak.dict().ObjectName(x) << " after setting "
+            << weak.dict().ObjectName(o);
+      }
+    }
+  }
+  EXPECT_GT(calls, 0u);
+}
+
+TEST(ChangeVersionTest, TreeWalkStampsMatchTheReference) {
+  std::size_t shared = 0;
+  ExpectStampsMatchReference(testing::MakeTreeBibliographicInstance(), 1,
+                             &shared);
+  GeneratorConfig config;
+  config.depth = 4;
+  config.branching = 3;
+  config.with_leaf_values = true;
+  auto tree = GenerateBalancedTree(config);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  ExpectStampsMatchReference(*tree, 2, &shared);
+  EXPECT_EQ(shared, 0u);
+}
+
+TEST(ChangeVersionTest, DagStampsMatchTheReference) {
+  // The Figure 2 instance: B1 and B2 share author A1.
+  std::size_t shared = 0;
+  ExpectStampsMatchReference(MakeBibliographicInstance(), 3, &shared);
+  EXPECT_GT(shared, 0u);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    DagConfig config;
+    config.num_objects = 14;
+    config.edge_density = 0.45;
+    config.with_leaf_values = true;
+    config.seed = seed;
+    auto dag = GenerateRandomDag(config);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    ExpectStampsMatchReference(*dag, 100 + seed, &shared);
+  }
 }
 
 }  // namespace

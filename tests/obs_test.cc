@@ -512,6 +512,62 @@ TEST(ObsEngineTest, SpanTreeCoversMeasuredWallTime) {
   }
 }
 
+TEST(ObsEngineTest, BatchLevelStepsHaveTheirOwnSpans) {
+  const ProbabilisticInstance inst = MakeWorkloadInstance(43);
+  const std::vector<BatchQuery> queries = MakeWorkloadQueries(inst, 16, 0xC1);
+  BatchOptions opts;
+  opts.threads = 1;
+  QueryEngine engine(inst, opts);
+  TraceSession session;
+  auto answers = engine.Run(queries, nullptr, &session);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+
+  const auto& spans = session.spans();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_STREQ(spans[0].name, "batch");
+  // Each batch-level step is one closed direct child of the batch, in
+  // execution order, and the batch-level and query spans together are
+  // every direct child.
+  const char* const steps[] = {"pin",   "plan",   "admit", "prepare",
+                               "share", "record", "stats"};
+  std::vector<std::string> seen;
+  std::size_t query_children = 0;
+  for (const auto& s : spans) {
+    if (s.parent != 0) continue;
+    EXPECT_TRUE(s.closed) << s.name;
+    if (std::string(s.name).rfind("query:", 0) == 0) {
+      ++query_children;
+    } else {
+      seen.emplace_back(s.name);
+    }
+  }
+  EXPECT_EQ(seen, std::vector<std::string>(std::begin(steps), std::end(steps)));
+  EXPECT_EQ(query_children, queries.size());
+}
+
+TEST(TraceTest, EndClosesASpanOnceBeforeItsScope) {
+  TraceSession session;
+  {
+    TraceSpan outer(&session, "outer");
+    TraceSpan first(&session, "first");
+    first.End();
+    EXPECT_FALSE(first.enabled());
+    first.End();  // a second End does nothing
+    TraceSpan second(&session, "second");
+  }
+  const auto& spans = session.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  for (const auto& s : spans) EXPECT_TRUE(s.closed);
+  // "first" closed before "second" opened, so both are children of
+  // "outer" rather than nested.
+  EXPECT_EQ(spans[1].parent, 0u);
+  EXPECT_EQ(spans[2].parent, 0u);
+  EXPECT_LE(spans[1].start_ns + spans[1].dur_ns, spans[2].start_ns);
+
+  TraceSpan inert(nullptr, "never_recorded");
+  inert.End();  // must not crash
+}
+
 TEST(ObsEngineTest, QueryProfilesSumExactlyToBatchStats) {
   const ProbabilisticInstance inst = MakeWorkloadInstance(7);
   const std::vector<BatchQuery> queries = MakeWorkloadQueries(inst, 96, 0xD1);
